@@ -118,6 +118,7 @@ def demod_chunk(
     try:
         sync = frame_sync(derotated, tables.preamble, profile.frame_symbols)
     except NoPeak:
+        stage_t["framesync"] = time.perf_counter() - t3
         return ChunkDemodResult(
             frames=[],
             skips=tracked.skips,

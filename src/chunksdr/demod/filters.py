@@ -9,19 +9,14 @@ centers.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
-from scipy.signal import upfirdn
 
 from ..errors import ChunkTooShort
-from ..modem import RRC_TAPS, tx_rx_taps
+from ..modem import RRC_TAPS, tx_rx_taps, upfirdn
 from ..numerology import WaveformProfile
 
 UP = 5
 DOWN = 4
-# output sample n corresponds to input sample n * RATIO_OUT_TO_IN
-RATIO_OUT_TO_IN = Fraction(DOWN, UP)
 _EDGE = (RRC_TAPS - 1) // 2 // DOWN  # outputs consumed by the filter delay
 
 
@@ -41,8 +36,3 @@ def resample_matched_filter(samples: np.ndarray, taps: np.ndarray) -> np.ndarray
     full = upfirdn(taps, samples, up=UP, down=DOWN)
     n_out = samples.size * UP // DOWN
     return full[_EDGE : _EDGE + n_out].astype(np.complex64)
-
-
-def output_to_input_offset(n_out: float) -> float:
-    """Input-sample offset (relative to the chunk start) of resampled index n."""
-    return n_out * DOWN / UP

@@ -6,10 +6,17 @@ symbol); the error is Im(x * conj(xhat)) with xhat the sliced 8PSK point,
 averaged over the block and power-normalized.  Two-pass operation mirrors
 the symbol tracker: backward warmup on the reversed head, then a full
 forward pass from the converged state (frequency sign flips at handoff).
+
+The decision inputs do not depend on loop state: `angle(x)` and `|x|` are
+computed for the whole pass up front, and since |xhat| = 1 the power
+normalizer is each block's mean |x|^2.  The loop body is then scalar
+arithmetic over the block's 8 angle residuals; it records each block's
+(theta, phi), and the derotation runs once over all blocks after the loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +71,6 @@ class PhaseLoopState:
     theta: float = 0.0  # radians, wrapped to (-pi, pi]
     freq: float = 0.0  # radians per symbol
     freq_limit: float = FREQ_LIMIT
-    direction: int = 1
 
     @classmethod
     def for_bandwidth(cls, loop_bw_per_symbol: float, **kw) -> "PhaseLoopState":
@@ -73,10 +79,11 @@ class PhaseLoopState:
 
 
 def _wrap(theta: float) -> float:
-    return float((theta + np.pi) % (2.0 * np.pi) - np.pi)
+    return (theta + math.pi) % (2.0 * math.pi) - math.pi
 
 
 _RAMP = np.arange(1, PHASE_BLOCK + 1, dtype=np.float64)
+_SECTOR = math.pi / 4  # angular spacing of the 8PSK points
 
 
 def _run_pass(
@@ -90,29 +97,44 @@ def _run_pass(
     freq_limit: float = FREQ_LIMIT,
 ):
     n_blocks = x.size // PHASE_BLOCK
-    out = np.empty(x.size, dtype=np.complex64) if collect else None
+    blocks = x[: n_blocks * PHASE_BLOCK].reshape(n_blocks, PHASE_BLOCK)
+    wide = blocks.astype(np.complex128)
+    power = np.mean(wide.real**2 + wide.imag**2, axis=1) + 1e-30
+    # e = mean(|x| sin r) / power, with r the residual angle to the slice.
+    # Flat lists: a list per block would wake the cyclic garbage collector.
+    weights = (np.abs(wide) / (PHASE_BLOCK * power[:, None])).ravel().tolist()
+    angles = np.angle(wide).ravel().tolist()
+    ramp = _RAMP.tolist()
+    sin, remainder = math.sin, math.remainder  # local names for the inner loop
+    thetas = []
+    freqs = []
     for b in range(n_blocks):
-        seg = x[b * PHASE_BLOCK : (b + 1) * PHASE_BLOCK]
-        phases = theta + freq * _RAMP
-        y = seg * np.exp(-1j * phases)
         if collect:
-            out[b * PHASE_BLOCK : (b + 1) * PHASE_BLOCK] = y
+            thetas.append(theta)
+            freqs.append(freq)
         if b * PHASE_BLOCK < freeze_below:
             theta = _wrap(theta + freq * PHASE_BLOCK)
             continue
-        hats = _POINTS[slice_positions(y)]
-        err = y * np.conj(hats)
-        power = np.mean(err.real**2 + err.imag**2) + 1e-30
-        e = float(np.mean(err.imag)) / power
+        # remainder() leaves the residual to the nearest point, ties to even
+        # like slice_positions
+        e = 0.0
+        i = b * PHASE_BLOCK
+        for a, w, k in zip(angles[i : i + PHASE_BLOCK], weights[i : i + PHASE_BLOCK], ramp):
+            e += w * sin(remainder(a - (theta + freq * k), _SECTOR))
         theta = _wrap(theta + freq * PHASE_BLOCK + kp * e)
         freq += ki * e
         if freq > freq_limit:
             freq = freq_limit
         elif freq < -freq_limit:
             freq = -freq_limit
+    if not collect:
+        return theta, freq, None
+    out = np.empty(x.size, dtype=np.complex64)
+    phases = np.asarray(thetas)[:, None] + np.asarray(freqs)[:, None] * _RAMP
+    out[: n_blocks * PHASE_BLOCK] = (blocks * np.exp(-1j * phases)).ravel()
     # tail shorter than a block: apply the last ramp, no update
     tail = x.size - n_blocks * PHASE_BLOCK
-    if tail and collect:
+    if tail:
         phases = theta + freq * _RAMP[:tail]
         out[n_blocks * PHASE_BLOCK :] = x[n_blocks * PHASE_BLOCK :] * np.exp(-1j * phases)
     return theta, freq, out

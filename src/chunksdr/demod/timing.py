@@ -11,6 +11,12 @@ Two-pass operation: the loop first runs backward over the chunk head (on the
 time-reversed samples) until it converges at sample 0, then the whole chunk
 is processed forward from the converged state, so no output symbols are
 sacrificed to the acquisition transient.
+
+Inside the loop each block is interpolated with one float64 matvec over the
+interleaved real/imaginary input, into a buffer whose fixed views feed the
+power and `gardner_ted`; the loop body otherwise runs on Python scalars.  It
+records each block's (q, tau, filter index), and the emitted symbols and
+positions are interpolated in one batched gather after the loop.
 """
 
 from __future__ import annotations
@@ -53,11 +59,8 @@ def gardner_ted(early, ontime, late) -> float:
     ontime * (late - early), real and imaginary parts separately.  Sign
     convention: sampling late yields a negative error.
     """
-    early = np.asarray(early)
-    ontime = np.asarray(ontime)
-    late = np.asarray(late)
-    diff = late - early
-    return float(np.sum(ontime.real * diff.real) + np.sum(ontime.imag * diff.imag))
+    # vdot conjugates its first argument: Re(conj(late - early) * ontime)
+    return float(np.vdot(np.subtract(late, early), ontime).real)
 
 
 # Widest clock offset the rate accumulator may represent (samples/sample).
@@ -75,7 +78,6 @@ class TimingLoopState:
     filter_index: float = 0.0  # fractional position in [0, 128)
     rate: float = 0.0  # estimated drift, samples per output sample
     rate_limit: float = RATE_LIMIT
-    direction: int = 1
     skips: int = 0
     repeats: int = 0
 
@@ -109,6 +111,21 @@ class _PassResult:
         self.q_start = q_start
 
 
+_ROW = 2 * FLUSH - 1  # floats spanned by one 8-tap window in interleaved form
+
+
+def _interleaved_bank() -> np.ndarray:
+    """(128, 15) bank with a zero between taps.
+
+    Against a float64 view of complex input, the 15-float window starting at
+    float index 2n (2n + 1) then yields the real (imaginary) part of the
+    interpolant at complex index n.
+    """
+    out = np.zeros((N_FILTERS, _ROW))
+    out[:, 0::2] = lagrange_bank()
+    return out
+
+
 def _run_pass(
     x: np.ndarray,
     q0: int,
@@ -126,32 +143,35 @@ def _run_pass(
     not update the loop (the chunk head's filter-edge samples would poison
     the converged state).
     """
-    bank = lagrange_bank()
-    windows = sliding_window_view(x, FLUSH)
-    n_rows = windows.shape[0]
+    wide = x.astype(np.complex128)
+    rows = sliding_window_view(wide.view(np.float64), _ROW)
+    bank = _interleaved_bank()
+    n_rows = x.size - FLUSH + 1
+    # [previous block's last mid | this block's 64 interpolants], complex
+    buf = np.zeros(BLOCK_OUT + 1, np.complex128)
+    y = buf[1:].view(np.float64)
+    early, ontime, late = buf[0:-1:2], buf[1::2], buf[2::2]
     q, tau, rate = q0, float(tau0), float(rate0)
     skips = repeats = 0
-    prev_mid = 0.0 + 0.0j
-    centers_out: list[np.ndarray] = []
-    pos_out: list[np.ndarray] = []
+    # per-block (q, tau, filter index), kept as flat lists of numbers so the
+    # loop allocates nothing the cyclic garbage collector tracks
+    qs: list[int] = []
+    taus: list[float] = []
+    fis: list[int] = []
 
     while q >= _WIN_LEFT and q - _WIN_LEFT + BLOCK_OUT <= n_rows:
         fi = int(tau * N_FILTERS + 0.5)
         if fi >= N_FILTERS:
             fi = N_FILTERS - 1
-        y = windows[q - _WIN_LEFT : q - _WIN_LEFT + BLOCK_OUT] @ bank[fi]
-        centers = y[0::2]
-        mids = y[1::2]
         if collect:
-            centers_out.append(centers)
-            pos_out.append(q + tau + 2.0 * np.arange(BLOCK_OUT // 2))
-        early = np.empty_like(mids)
-        early[0] = prev_mid
-        early[1:] = mids[:-1]
-        prev_mid = mids[-1]
+            qs.append(q)
+            taus.append(tau)
+            fis.append(fi)
+        start = 2 * (q - _WIN_LEFT)
+        np.dot(rows[start : start + 2 * BLOCK_OUT], bank[fi], out=y)
         if q >= freeze_below:
-            power = np.mean(y.real**2 + y.imag**2) + 1e-30
-            err = gardner_ted(early, centers, mids) / ((BLOCK_OUT // 2) * power)
+            power = float(np.dot(y, y)) / BLOCK_OUT + 1e-30
+            err = gardner_ted(early, ontime, late) / ((BLOCK_OUT // 2) * power)
             rate += ki * err
             if rate > rate_limit:
                 rate = rate_limit
@@ -160,6 +180,7 @@ def _run_pass(
             tau += BLOCK_OUT * rate + kp * err
         else:
             tau += BLOCK_OUT * rate
+        buf[0] = buf[BLOCK_OUT]
         q += BLOCK_OUT
         while tau >= 1.0:
             tau -= 1.0
@@ -173,13 +194,13 @@ def _run_pass(
     result = _PassResult(q, tau, rate, skips, repeats, q0)
     if not collect:
         return result, None, None
-    symbols = (
-        np.concatenate(centers_out).astype(np.complex64)
-        if centers_out
-        else np.zeros(0, np.complex64)
-    )
-    positions = np.concatenate(pos_out) if pos_out else np.zeros(0)
-    return result, symbols, positions
+    q_arr = np.array(qs, dtype=np.int64)
+    # every on-time (even) output of every block: window base q - 3 + 2j
+    base = (q_arr - _WIN_LEFT)[:, None] + np.arange(0, BLOCK_OUT, 2)
+    windows = sliding_window_view(wide, FLUSH)[base]
+    symbols = (windows @ lagrange_bank()[np.array(fis, dtype=np.int64)][:, :, None])[..., 0]
+    positions = (q_arr + np.array(taus))[:, None] + 2.0 * np.arange(BLOCK_OUT // 2)
+    return result, symbols.astype(np.complex64).ravel(), positions.ravel()
 
 
 def track_symbols_two_pass(

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
-from scipy.signal import upfirdn
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LengthMismatch, LengthNotDivisible
 from .numerology import WaveformProfile
@@ -116,6 +117,41 @@ def build_frame(payload_bits: np.ndarray, profile: WaveformProfile, codec) -> np
 
 
 # -- pulse shaping -------------------------------------------------------------
+
+
+def upfirdn(h: np.ndarray, x: np.ndarray, up: int = 1, down: int = 1) -> np.ndarray:
+    """Upsample 1-D `x` by `up`, filter with FIR `h`, keep every `down`-th output.
+
+    Same output as ``scipy.signal.upfirdn``, computed in double precision:
+    output n is sum_k h[k] * xu[n*down - k] with xu the zero-stuffed input,
+    over ceil(((len(x) - 1)*up + len(h)) / down) outputs (the full
+    convolution).  Polyphase form: output n uses the taps h[p::up],
+    p = n*down % up, against the inputs ending at (n*down) // up; both repeat
+    with period up / gcd(up, down) in n, so each residue class of n is one
+    strided matvec.
+    """
+    h = np.asarray(h)
+    x = np.asarray(x)
+    if h.ndim != 1 or x.ndim != 1 or h.size == 0 or x.size == 0 or up < 1 or down < 1:
+        raise ValueError("upfirdn needs non-empty 1-D h and x, and up, down >= 1")
+    dtype = np.result_type(h, x, np.float64)
+    per_phase = -(-h.size // up)
+    phases = np.zeros(per_phase * up, dtype)
+    phases[: h.size] = h
+    # row p holds h[p::up] reversed, to dot against an input window in order
+    phases = np.ascontiguousarray(phases.reshape(per_phase, up).T[:, ::-1])
+    n_out = ((x.size - 1) * up + h.size - 1) // down + 1
+    padded = np.zeros(x.size + 2 * (per_phase - 1), dtype)
+    padded[per_phase - 1 : per_phase - 1 + x.size] = x
+    windows = sliding_window_view(padded, per_phase)  # row i ends at x[i]
+    period = up // gcd(up, down)
+    step = down // gcd(up, down)
+    out = np.empty(n_out, dtype)
+    for s in range(min(period, n_out)):
+        count = len(range(s, n_out, period))
+        first = s * down // up
+        out[s::period] = windows[first : first + step * count : step] @ phases[s * down % up]
+    return out
 
 
 def rrc_taps(n_taps: int = RRC_TAPS, sps: int = INTERNAL_SPS, rolloff: float = 0.25) -> np.ndarray:

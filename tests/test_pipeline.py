@@ -10,7 +10,7 @@ from chunksdr.distributor import ChunkRecord
 from chunksdr.errors import ChunkTooShort
 from chunksdr.fec import decode_batch
 from chunksdr.modem import generate_stream
-from chunksdr.runtime import ReceiverContext, process_chunk
+from chunksdr.runtime import ReceiverContext, RunStats, process_chunk
 
 
 class TestResampler:
@@ -71,6 +71,18 @@ class TestChunkIndependence:
         result = demod_chunk(ChunkRecord(0, noise), desk_ctx.tables)
         assert result.sync_failed
         assert result.frames == []
+
+    def test_sync_failure_keeps_framesync_time(self, desk_ctx):
+        """The time spent on a failed sync still reaches the run's stage totals."""
+        rng = np.random.default_rng(4)
+        n = desk_ctx.plan.chunk.chunk_samples
+        noise = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.complex64)
+        _, result, elapsed = process_chunk(ChunkRecord(0, noise), desk_ctx)
+        assert result.sync_failed
+        stats = RunStats()
+        stats.absorb(result, elapsed, desk_ctx.plan.chunk.guaranteed_frames)
+        assert stats.stage_seconds["framesync"] > 0.0
+        assert "softbits" not in stats.stage_seconds
 
 
 class TestLoopback:
