@@ -5,9 +5,14 @@ absolute sample number of their frame boundary.  The reorder buffer emits in
 ascending key order: the smallest pending block is released once its delta
 from the last emitted block is below 17x the nominal block spacing (a larger
 delta means at least a whole chunk's worth of blocks may still be in
-flight).  Repeated keys are duplicates from chunk overlap and are dropped.
-When the buffer exceeds capacity, the closest non-sequential block (the
-smallest pending key) is emitted and processing continues normally.
+flight).  The runner may also set a floor: the smallest key that any block
+still to come can have.  Pending blocks below the floor are final, so they
+are emitted at once, even across a gap (a dropped or failed chunk).
+Repeated keys are duplicates from chunk overlap and are dropped; a duplicate
+whose bits differ from the kept block, pending or already emitted, is also
+a conflict.  When the buffer exceeds capacity, the closest non-sequential
+block (the smallest pending key) is emitted and processing continues
+normally.
 
 Wire framing for block messages over a reliable stream: 8-byte little-endian
 start sample number, 4-byte bit length, 1 flags byte (bit 0 = decode
@@ -48,8 +53,9 @@ class ReorderBuffer:
         self.block_spacing = int(block_spacing)
         self.capacity = int(capacity)
         self.pending: dict[int, DecodedBlock] = {}
+        self.floor = -1  # no block still to come has a key below this
         self._last_emitted = -self.block_spacing
-        self._recent: OrderedDict[int, None] = OrderedDict()
+        self._recent: OrderedDict[int, np.ndarray] = OrderedDict()  # key -> emitted bits
         self.stats = CombinerStats()
 
     @property
@@ -70,17 +76,18 @@ class ReorderBuffer:
         for block in blocks:
             start = block.start_sample_number
             if start in self.pending:
-                self.stats.duplicates += 1
-                if not np.array_equal(block.info_bits, self.pending[start].info_bits):
-                    self.stats.conflicts += 1  # keep the first arrival
-                continue
-            if start <= self._last_emitted:
-                if start in self._recent:
-                    self.stats.duplicates += 1
-                else:
+                kept = self.pending[start].info_bits
+            elif start <= self._last_emitted:
+                kept = self._recent.get(start)
+                if kept is None:
                     self.stats.stale += 1
+                    continue
+            else:
+                self.pending[start] = block
                 continue
-            self.pending[start] = block
+            self.stats.duplicates += 1
+            if not np.array_equal(block.info_bits, kept):
+                self.stats.conflicts += 1  # keep the first arrival
         out = self._drain()
         while len(self.pending) > self.capacity:
             self.stats.overflow_emits += 1
@@ -98,7 +105,7 @@ class ReorderBuffer:
         window = SEQUENTIAL_WINDOW_BLOCKS * self.block_spacing
         while self.pending:
             smallest = min(self.pending)
-            if smallest - self._last_emitted < window:
+            if smallest - self._last_emitted < window or smallest < self.floor:
                 out.append(self._emit(smallest))
             else:
                 break
@@ -109,7 +116,7 @@ class ReorderBuffer:
         if start - self._last_emitted > self.block_spacing:
             self.stats.gaps += 1
         self._last_emitted = start
-        self._recent[start] = None
+        self._recent[start] = block.info_bits
         while len(self._recent) > 4 * self.capacity:
             self._recent.popitem(last=False)
         self.stats.emitted += 1

@@ -26,7 +26,6 @@ class SyncResult:
     offset: int  # symbol index of the first preamble start
     frame_starts: np.ndarray  # symbol indices, one per complete frame
     payloads: np.ndarray  # (n_frames, payload_symbols) complex64
-    rx_preambles: np.ndarray  # (n_frames, preamble_symbols) complex64
     peak_ratio: float
     rotation: float  # common residual rotation estimate, radians
     noise_var: float  # per-symbol noise variance estimate
@@ -95,7 +94,6 @@ def frame_sync(
         offset=offset,
         frame_starts=starts,
         payloads=payloads,
-        rx_preambles=rx_pre,
         peak_ratio=ratio,
         rotation=rotation,
         noise_var=noise_var,

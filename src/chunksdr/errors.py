@@ -53,13 +53,5 @@ class DimensionMismatch(ChunkSdrError):
     pass
 
 
-class DecodeFailure(ChunkSdrError):
-    pass
-
-
-class StaleBlock(ChunkSdrError):
-    pass
-
-
 class CaptureTimeout(ChunkSdrError):
     pass

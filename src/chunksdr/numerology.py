@@ -145,9 +145,6 @@ class DistributionPlan:
         lead = self.lead_group(server)
         return tuple((lead + i) % self.total_groups for i in range(self.groups_per_chunk))
 
-    def server_for_chunk(self, chunk_index: int) -> int:
-        return chunk_index % self.num_servers
-
 
 @dataclass(frozen=True)
 class Numerology:

@@ -19,7 +19,9 @@ import os
 import queue
 import threading
 import time
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -125,10 +127,19 @@ def run_pipeline(
 
     `chunks` is any iterable of ChunkRecords; `taps_factory(worker_name)`
     optionally builds a per-worker tap set.
+
+    Chunks are expected in ascending first-sample order, as the assemblers
+    produce them.  The combiner then knows that no block still to come can
+    have a key below the oldest chunk in flight, and releases every pending
+    block below that floor at once, even across a dropped chunk.  Once a
+    chunk arrives out of order, the floor is dropped for the rest of the
+    run and only the combiner's sequential rule releases blocks.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
     work: queue.Queue = queue.Queue(maxsize=queue_depth)
+    # (first sample, None) when a chunk is handed out; (first sample, blocks)
+    # when it is done, with no blocks for a chunk that raised
     inbox: queue.Queue = queue.Queue()
     stats = RunStats()
     stats_lock = threading.Lock()
@@ -141,30 +152,50 @@ def run_pipeline(
             if chunk is _SENTINEL:
                 work.task_done()
                 break
+            first = chunk.first_sample_number
             try:
                 blocks, result, elapsed = process_chunk(
-                    chunk, ctx, taps=taps, origin=(worker_id, chunk.first_sample_number)
+                    chunk, ctx, taps=taps, origin=(worker_id, first)
                 )
             except ChunkSdrError:
                 # a bad chunk is a counted event, never a stalled stream
                 with stats_lock:
                     stats.chunks_in += 1
                     stats.chunk_errors += 1
+                inbox.put((first, []))
                 work.task_done()
                 continue
             with stats_lock:
                 stats.absorb(result, elapsed, guaranteed)
-            inbox.put(blocks)
+            inbox.put((first, blocks))
             work.task_done()
 
     buffer = ReorderBuffer(block_spacing=ctx.plan.frame_samples, capacity=capacity)
     ordered: list[DecodedBlock] = []
 
     def combine() -> None:
-        while True:
-            blocks = inbox.get()
-            if blocks is _SENTINEL:
-                break
+        in_flight: deque[int] = deque()  # handed-out first samples, oldest first
+        done: Counter[int] = Counter()  # finished but not yet at the front
+        last_out = None
+        ascending = True
+        while (message := inbox.get()) is not _SENTINEL:
+            first, blocks = message
+            if blocks is None:
+                ascending = ascending and (last_out is None or first >= last_out)
+                last_out = first
+                in_flight.append(first)
+                blocks = []
+            else:
+                done[first] += 1
+            while in_flight and done[in_flight[0]]:
+                oldest = in_flight.popleft()
+                done[oldest] -= 1
+                if not done[oldest]:
+                    del done[oldest]
+            if ascending:
+                buffer.floor = in_flight[0] if in_flight else last_out + 1
+            else:
+                buffer.floor = -1
             ordered.extend(buffer.submit_group(blocks))
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
@@ -173,6 +204,7 @@ def run_pipeline(
         t.start()
     combiner_thread.start()
     for chunk in chunks:
+        inbox.put((chunk.first_sample_number, None))
         work.put(chunk)
     for _ in threads:
         work.put(_SENTINEL)
@@ -209,17 +241,27 @@ def run_pipeline_processes(
     workers: int,
     capacity: int = DEFAULT_CAPACITY,
 ) -> tuple[list[DecodedBlock], list[float]]:
-    """Map chunks over a process pool; returns combined blocks + chunk times."""
+    """Map chunks over a process pool; returns combined blocks + chunk times.
+
+    Results come back in input order and reach the combiner as they arrive.
+    The combiner's floor is the smallest first sample still to come back,
+    so pending blocks below it are released early whatever the input order.
+    """
+    firsts = [chunk.first_sample_number for chunk in reversed(chunks)]
+    # the floor once result i is in: the smallest first sample of chunks i + 1, ...
+    floors = list(accumulate(firsts, min))[::-1][1:] + [-1]
+    buffer = ReorderBuffer(block_spacing=plan.frame_samples, capacity=capacity)
+    ordered: list[DecodedBlock] = []
+    times: list[float] = []
     with multiprocessing.get_context("fork").Pool(
         processes=workers, initializer=_proc_init, initargs=(plan,)
     ) as pool:
-        results = pool.map(_proc_run, chunks, chunksize=1)
-    buffer = ReorderBuffer(block_spacing=plan.frame_samples, capacity=capacity)
-    ordered: list[DecodedBlock] = []
-    for blocks, _ in results:
-        ordered.extend(buffer.submit_group(blocks))
+        for floor, (blocks, elapsed) in zip(floors, pool.imap(_proc_run, chunks, chunksize=1)):
+            buffer.floor = floor
+            ordered.extend(buffer.submit_group(blocks))
+            times.append(elapsed)
     ordered.extend(buffer.flush())
-    return ordered, [elapsed for _, elapsed in results]
+    return ordered, times
 
 
 # -- benchmark harness ----------------------------------------------------------

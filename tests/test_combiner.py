@@ -75,6 +75,7 @@ class TestDuplicates:
         out += buf.submit(block(16 * S, bits=np.ones(24, np.uint8)))
         assert starts(out) == [0, 16 * S]
         assert buf.stats.duplicates == 1
+        assert buf.stats.conflicts == 0  # emitted before its duplicate, same bits
 
     def test_pending_duplicate_keeps_first(self):
         buf = ReorderBuffer(block_spacing=S)
@@ -99,6 +100,69 @@ class TestDuplicates:
         out += buf.flush()
         assert starts(out) == expected
         assert len(set(starts(out))) == len(expected)
+
+
+class TestFloor:
+    """The runner's floor: no block still to come has a key below it."""
+
+    def test_gap_below_floor_released_at_once(self):
+        buf = ReorderBuffer(block_spacing=S)
+        assert starts(buf.submit(block(0))) == [0]
+        assert buf.submit(block(30 * S)) == []  # 30S gap: held
+        buf.floor = 30 * S + 1
+        assert starts(buf.submit_group([])) == [30 * S]
+        assert buf.stats.gaps == 1
+        assert buf.stats.overflow_emits == 0
+
+    def test_released_block_unblocks_the_sequential_rule(self):
+        buf = ReorderBuffer(block_spacing=S)
+        buf.submit(block(0))
+        buf.floor = 25 * S
+        out = buf.submit_group([block(24 * S), block(40 * S)])
+        assert starts(out) == [24 * S, 40 * S]  # 40S is 16S past 24S
+
+    def test_nothing_at_or_above_floor_changes(self):
+        buf = ReorderBuffer(block_spacing=S)
+        buf.submit(block(0))
+        buf.floor = 30 * S
+        assert buf.submit_group([block(30 * S), block(50 * S)]) == []
+        assert sorted(buf.pending) == [30 * S, 50 * S]
+        buf.floor = 50 * S
+        assert starts(buf.submit_group([])) == [30 * S]  # 50S is 20S past 30S: held
+        assert sorted(buf.pending) == [50 * S]
+
+    def test_late_duplicate_bits_compared(self):
+        """A key released through the floor, then delivered again with other
+        bits: a duplicate and a conflict, whatever the timing."""
+        buf = ReorderBuffer(block_spacing=S)
+        buf.submit(block(0))
+        buf.floor = 40 * S
+        assert starts(buf.submit(block(30 * S, bits=np.zeros(24, np.uint8)))) == [30 * S]
+        assert buf.submit(block(30 * S, bits=np.ones(24, np.uint8))) == []
+        assert buf.stats.duplicates == 1
+        assert buf.stats.conflicts == 1
+        assert buf.stats.stale == 0
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_ascending_chunks_with_drops_match_no_floor(self, seed):
+        """Chunks delivered in ascending order, some never: with the floor at
+        the smallest key still to come, the output is the floorless output,
+        nothing is stale and nothing overflows."""
+        rng = np.random.default_rng(seed)
+        groups = [g for g in _desk_like_groups(int(rng.integers(2, 20)))
+                  if rng.random() >= 0.25]
+        plain, floored = ReorderBuffer(block_spacing=S), ReorderBuffer(block_spacing=S)
+        want, got = [], []
+        for i, g in enumerate(groups):
+            want += plain.submit_group(g)
+            floored.floor = groups[i + 1][0].start_sample_number if i + 1 < len(groups) else -1
+            got += floored.submit_group(g)
+        want += plain.flush()
+        got += floored.flush()
+        assert starts(got) == starts(want)
+        assert floored.stats.stale == floored.stats.overflow_emits == 0
+        assert floored.stats.gaps == plain.stats.gaps
 
 
 class TestOverflow:

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from chunksdr.combiner import ReorderBuffer
 from chunksdr.distributor import ChunkRecord
 from chunksdr.e2e import run_e2e
 from chunksdr.runtime import (
@@ -77,6 +78,53 @@ class TestRunPipeline:
         assert result.blocks
 
 
+class TestFloorRelease:
+    """Blocks after a lost chunk leave the combiner while the stream goes on."""
+
+    @pytest.fixture(scope="class")
+    def corpus5(self, desk_ctx):
+        return make_bench_corpus(desk_ctx, n_chunks=5, seed=3)
+
+    @pytest.mark.parametrize("loss", ["skipped", "too_short"])
+    def test_blocks_past_a_lost_chunk_released_before_the_stream_ends(
+        self, desk_ctx, corpus5, monkeypatch, loss
+    ):
+        after_gap = corpus5[3].first_sample_number
+        released = threading.Event()
+        submit = ReorderBuffer.submit_group
+
+        def watching_submit(buf, blocks):
+            out = submit(buf, blocks)
+            if any(b.start_sample_number >= after_gap for b in out):
+                released.set()
+            return out
+
+        monkeypatch.setattr(ReorderBuffer, "submit_group", watching_submit)
+        seen_before_end = []
+
+        def feed():
+            yield from corpus5[:2]
+            if loss == "too_short":
+                yield ChunkRecord(corpus5[2].first_sample_number, np.zeros(10, np.complex64))
+            yield from corpus5[3:]
+            seen_before_end.append(released.wait(timeout=60))
+
+        result = run_pipeline(feed(), desk_ctx, workers=1)
+        assert seen_before_end == [True]
+        assert result.stats.chunk_errors == (1 if loss == "too_short" else 0)
+        assert result.stats.combiner.overflow_emits == 0
+        assert result.stats.combiner.stale == 0
+
+    def test_out_of_order_feed_matches_ascending(self, desk_ctx, small_corpus):
+        ascending = run_pipeline(small_corpus[:3], desk_ctx, workers=1)
+        shuffled = run_pipeline([small_corpus[i] for i in (0, 2, 1)], desk_ctx, workers=1)
+        assert [b.start_sample_number for b in shuffled.blocks] == [
+            b.start_sample_number for b in ascending.blocks
+        ]
+        np.testing.assert_array_equal(_bitstream(shuffled.blocks), _bitstream(ascending.blocks))
+        assert shuffled.stats.combiner.stale == 0
+
+
 class TestProcessBackend:
     def test_matches_thread_backend(self, desk_ctx, small_corpus):
         threaded = run_pipeline(small_corpus, desk_ctx, workers=2)
@@ -86,6 +134,16 @@ class TestProcessBackend:
         ]
         np.testing.assert_array_equal(_bitstream(blocks), _bitstream(threaded.blocks))
         assert len(times) == len(small_corpus)
+
+    def test_any_input_order(self, desk_ctx, small_corpus):
+        ascending, _ = run_pipeline_processes(small_corpus, desk_ctx.plan, workers=2)
+        shuffled, _ = run_pipeline_processes(
+            [small_corpus[i] for i in (2, 0, 3, 1)], desk_ctx.plan, workers=2
+        )
+        assert [b.start_sample_number for b in shuffled] == [
+            b.start_sample_number for b in ascending
+        ]
+        np.testing.assert_array_equal(_bitstream(shuffled), _bitstream(ascending))
 
 
 class TestBench:
