@@ -16,7 +16,7 @@ import numpy as np
 from . import iqfile
 from .channel import ChannelConfig, apply as chan_apply
 from .combiner import ReorderBuffer, decode_block_stream, encode_block
-from .distributor import UdpMulticastTransport, packetize, subscribe_and_assemble
+from .distributor import UdpMulticastTransport, assemble_chunks, packetize
 from .e2e import DEFAULT_FULL_SCALE, run_e2e
 from .errors import ChunkSdrError
 from .monitor import MonitorServer, monitor_grab, monitor_ls
@@ -61,25 +61,21 @@ def cmd_distribute(args) -> int:
     packed = packetize(samples, plan, full_scale=args.full_scale)
     if args.udp:
         transport = UdpMulticastTransport(plan)
-        rng = np.random.default_rng(args.seed)
-        sent = 0
+        send, close, dest = transport.send, transport.close, "over UDP multicast"
+    else:
+        out = open(args.output, "wb")
+        send, close, dest = (lambda pkt: out.write(pkt.to_wire())), out.close, f"to {args.output}"
+    rng = np.random.default_rng(args.seed)
+    sent = 0
+    try:
         for pkt in packed.packets:
             if args.loss_rate and rng.random() < args.loss_rate:
                 continue
-            transport.send(pkt)
+            send(pkt)
             sent += 1
-        transport.close()
-        print(f"sent {sent}/{len(packed.packets)} packets over UDP multicast")
-    else:
-        with open(args.output, "wb") as f:
-            rng = np.random.default_rng(args.seed)
-            sent = 0
-            for pkt in packed.packets:
-                if args.loss_rate and rng.random() < args.loss_rate:
-                    continue
-                f.write(pkt.to_wire())
-                sent += 1
-        print(f"wrote {sent}/{len(packed.packets)} packets to {args.output}")
+    finally:
+        close()
+    print(f"{'sent' if args.udp else 'wrote'} {sent}/{len(packed.packets)} packets {dest}")
     if packed.residual_samples:
         print(f"residual {packed.residual_samples} samples not packetized")
     return 0
@@ -90,13 +86,9 @@ def cmd_demod(args) -> int:
     plan = ctx.plan
     samples = iqfile.read_cf32(args.input)
     packed = packetize(samples, plan, full_scale=args.full_scale)
-    chunks = []
-    for server in range(plan.distribution.num_servers):
-        server_chunks, _ = subscribe_and_assemble(
-            packed.packets, plan, server, full_scale=args.full_scale
-        )
-        chunks.extend(server_chunks)
-    chunks.sort(key=lambda c: c.first_sample_number)
+    chunks, _ = assemble_chunks(
+        [packed.packets] * plan.distribution.num_servers, plan, args.full_scale
+    )
     result = run_pipeline(chunks, ctx, workers=args.workers)
     with open(args.output, "wb") as f:
         for block in result.blocks:

@@ -222,6 +222,21 @@ def subscribe_and_assemble(
     return chunks, asm.stats
 
 
+def assemble_chunks(
+    per_server_packets, plan: Numerology, full_scale: float = 1.0
+) -> tuple[list[ChunkRecord], int]:
+    """Assemble every server's chunks from its packet stream (one iterable
+    per server); returns them sorted by first sample, and the chunks dropped."""
+    chunks: list[ChunkRecord] = []
+    dropped = 0
+    for server, packets in enumerate(per_server_packets):
+        got, stats = subscribe_and_assemble(packets, plan, server, full_scale=full_scale)
+        chunks.extend(got)
+        dropped += stats.chunks_dropped
+    chunks.sort(key=lambda c: c.first_sample_number)
+    return chunks, dropped
+
+
 class InProcessTransport:
     """Bounded per-subscriber queues standing in for the multicast switch.
 

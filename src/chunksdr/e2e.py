@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelConfig, apply as chan_apply
-from .distributor import InProcessTransport, PacketizeResult, packetize, subscribe_and_assemble
+from .distributor import InProcessTransport, PacketizeResult, assemble_chunks, packetize
 from .modem import TxStream, generate_stream
 from .runtime import PipelineResult, ReceiverContext, run_pipeline
 
@@ -90,15 +90,9 @@ def run_e2e(
     transport = InProcessTransport(plan, loss_rate=loss_rate, seed=seed + 2)
     for pkt in packed.packets:
         transport.send(pkt)
-    chunks = []
-    dropped = 0
-    for server in range(plan.distribution.num_servers):
-        server_chunks, stats = subscribe_and_assemble(
-            transport.drain(server), plan, server, full_scale=full_scale
-        )
-        chunks.extend(server_chunks)
-        dropped += stats.chunks_dropped
-    chunks.sort(key=lambda c: c.first_sample_number)
+    chunks, dropped = assemble_chunks(
+        [transport.drain(s) for s in range(plan.distribution.num_servers)], plan, full_scale
+    )
 
     result: PipelineResult = run_pipeline(chunks, ctx, workers=workers, taps_factory=taps_factory)
 

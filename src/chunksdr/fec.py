@@ -39,7 +39,6 @@ class DecodedBlock:
     start_sample_number: int
     info_bits: np.ndarray  # uint8
     failed: bool = False
-    origin: tuple = ()
 
 
 @dataclass
@@ -296,7 +295,6 @@ def _gf2_inverse(mat: np.ndarray) -> np.ndarray:
 def decode_batch(
     frames: list[SoftFrame],
     codec,
-    origin: tuple = (),
     early_termination: bool = True,
 ) -> list[DecodedBlock]:
     """Decode up to 16 soft frames; short batches are padded with all-zero
@@ -318,7 +316,6 @@ def decode_batch(
                 start_sample_number=frame.start_sample_number,
                 info_bits=bits[i, : codec.k].copy(),
                 failed=not bool(ok[i]),
-                origin=origin,
             )
         )
     return blocks

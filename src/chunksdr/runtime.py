@@ -1,39 +1,38 @@
-"""Worker-pool runtime and benchmark harness.
+"""Chunk runner and benchmark harness.
 
-Workers pull chunks from a common bounded queue, run the full per-chunk
-pipeline (demod then FEC), and forward decoded blocks to the combiner inbox;
-the combiner thread reorders and deduplicates.  Chunk processing is a pure
-function, so the combined output is identical for any worker count.
+One runner, `run_pipeline`, hands chunks to a `concurrent.futures` pool of
+threads or forked processes.  Each worker runs the full per-chunk pipeline
+(demod then FEC); as each chunk finishes, its blocks reach the combiner,
+which reorders and deduplicates.  Chunk processing is a pure function, so
+the combined output is identical for any worker count and either backend.
 
-Threads are the default backend (shared tables, live monitor taps).  Because
-the tracking loops are Python-level, the throughput benchmark defaults to a
-process pool: the same chunk-per-worker dataflow, one worker process per
-chunk in flight.
+Threads carry live monitor taps, since the monitor serves from this
+process.  Forked processes inherit the context and sidestep the GIL that
+the Python-level tracking loops hold, so the throughput benchmark defaults
+to them.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-import queue
 import threading
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from itertools import accumulate
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import count
 
 import numpy as np
 
-from .combiner import DEFAULT_CAPACITY, CombinerStats, ReorderBuffer
+from .combiner import CombinerStats, ReorderBuffer
 from .demod import ChunkDemodResult, DemodTables, demod_chunk
 from .distributor import ChunkRecord
-from .errors import ChunkSdrError
 from .fec import BATCH_SIZE, DecodedBlock, decode_batch, get_codec
 from .numerology import Numerology, load_numerology
 
-_QUEUE_DEPTH = 8
-_SENTINEL = None
+_QUEUE_DEPTH = 8  # chunks handed out beyond one per worker
 
 
 @dataclass
@@ -65,6 +64,7 @@ class RunStats:
     chunks_ok: int = 0
     sync_failures: int = 0
     chunk_errors: int = 0
+    chunk_error_types: Counter = field(default_factory=Counter)  # class name -> count
     frames_out: int = 0
     decode_failures: int = 0
     extra_frames: int = 0
@@ -93,7 +93,6 @@ def process_chunk(
     chunk: ChunkRecord,
     ctx: ReceiverContext,
     taps=None,
-    origin: tuple = (),
 ) -> tuple[list[DecodedBlock], ChunkDemodResult, float]:
     """The full per-chunk pipeline: demod, then FEC in batches of 16."""
     t0 = time.perf_counter()
@@ -101,9 +100,7 @@ def process_chunk(
     blocks: list[DecodedBlock] = []
     t1 = time.perf_counter()
     for i in range(0, len(result.frames), BATCH_SIZE):
-        blocks.extend(
-            decode_batch(result.frames[i : i + BATCH_SIZE], ctx.codec, origin=origin)
-        )
+        blocks.extend(decode_batch(result.frames[i : i + BATCH_SIZE], ctx.codec))
     t2 = time.perf_counter()
     result.stage_seconds["fec"] = t2 - t1
     return blocks, result, t2 - t0
@@ -115,18 +112,37 @@ class PipelineResult:
     stats: RunStats
 
 
+_worker = threading.local()  # per pool worker: ctx and taps
+
+
+def _init_worker(ctx: ReceiverContext, taps_factory, ids) -> None:
+    _worker.ctx = ctx
+    _worker.taps = taps_factory(f"w{next(ids)}") if taps_factory is not None else None
+
+
+def _run_chunk(chunk: ChunkRecord):
+    # `process_chunk` is looked up at call time, so wrappers installed on the
+    # module reach the workers.  The LLRs stay behind: they would be most of
+    # what a process pool pickles back, and only the frame count is used.
+    blocks, result, elapsed = process_chunk(chunk, _worker.ctx, taps=_worker.taps)
+    frames = [replace(frame, llrs=None) for frame in result.frames]
+    return blocks, replace(result, frames=frames), elapsed
+
+
 def run_pipeline(
     chunks,
     ctx: ReceiverContext,
     workers: int = 1,
+    backend: str = "thread",
     taps_factory=None,
-    capacity: int = DEFAULT_CAPACITY,
-    queue_depth: int = _QUEUE_DEPTH,
 ) -> PipelineResult:
-    """Thread-per-chunk worker pool feeding the combiner.
+    """Run chunks over a pool of `workers` threads or forked processes.
 
-    `chunks` is any iterable of ChunkRecords; `taps_factory(worker_name)`
-    optionally builds a per-worker tap set.
+    `chunks` is any iterable of ChunkRecords, consumed as the pool takes
+    them (at most `workers + 8` in flight); `taps_factory(worker_name)`
+    optionally builds a per-worker tap set (in each worker process, on the
+    process backend).  A chunk that raises is counted in `chunk_errors` and
+    `chunk_error_types`, and the stream goes on.
 
     Chunks are expected in ascending first-sample order, as the assemblers
     produce them.  The combiner then knows that no block still to come can
@@ -137,81 +153,65 @@ def run_pipeline(
     """
     if workers < 1:
         raise ValueError("need at least one worker")
-    work: queue.Queue = queue.Queue(maxsize=queue_depth)
-    # (first sample, None) when a chunk is handed out; (first sample, blocks)
-    # when it is done, with no blocks for a chunk that raised
-    inbox: queue.Queue = queue.Queue()
+    initargs = (ctx, taps_factory, count())
+    if backend == "thread":
+        pool = ThreadPoolExecutor(workers, initializer=_init_worker, initargs=initargs)
+    elif backend == "process":
+        import multiprocessing  # here, not at the top: both add to every import's set-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _init_worker, initargs)
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
     stats = RunStats()
-    stats_lock = threading.Lock()
     guaranteed = ctx.plan.chunk.guaranteed_frames
-
-    def worker(worker_id: int) -> None:
-        taps = taps_factory(f"w{worker_id}") if taps_factory is not None else None
-        while True:
-            chunk = work.get()
-            if chunk is _SENTINEL:
-                work.task_done()
-                break
-            first = chunk.first_sample_number
-            try:
-                blocks, result, elapsed = process_chunk(
-                    chunk, ctx, taps=taps, origin=(worker_id, first)
-                )
-            except ChunkSdrError:
-                # a bad chunk is a counted event, never a stalled stream
-                with stats_lock:
-                    stats.chunks_in += 1
-                    stats.chunk_errors += 1
-                inbox.put((first, []))
-                work.task_done()
-                continue
-            with stats_lock:
-                stats.absorb(result, elapsed, guaranteed)
-            inbox.put((first, blocks))
-            work.task_done()
-
-    buffer = ReorderBuffer(block_spacing=ctx.plan.frame_samples, capacity=capacity)
+    buffer = ReorderBuffer(block_spacing=ctx.plan.frame_samples)
     ordered: list[DecodedBlock] = []
+    slots = threading.Semaphore(workers + _QUEUE_DEPTH)
+    lock = threading.Lock()  # held around `combine` and `stats` updates
+    in_flight: deque[int] = deque()  # handed-out first samples, oldest first
+    done: Counter[int] = Counter()  # finished but not yet at the front
+    last_out = None
+    ascending = True
 
-    def combine() -> None:
-        in_flight: deque[int] = deque()  # handed-out first samples, oldest first
-        done: Counter[int] = Counter()  # finished but not yet at the front
-        last_out = None
-        ascending = True
-        while (message := inbox.get()) is not _SENTINEL:
-            first, blocks = message
-            if blocks is None:
-                ascending = ascending and (last_out is None or first >= last_out)
-                last_out = first
-                in_flight.append(first)
+    def combine(first: int, blocks: list[DecodedBlock] | None) -> None:
+        """Chunk `first` handed out (blocks None) or finished; holds `lock`."""
+        nonlocal last_out, ascending
+        if blocks is None:
+            ascending = ascending and (last_out is None or first >= last_out)
+            last_out = first
+            in_flight.append(first)
+            blocks = []
+        else:
+            done[first] += 1
+        while in_flight and done[in_flight[0]]:
+            oldest = in_flight.popleft()
+            done[oldest] -= 1
+            if not done[oldest]:
+                del done[oldest]
+        buffer.floor = (in_flight[0] if in_flight else last_out + 1) if ascending else -1
+        ordered.extend(buffer.submit_group(blocks))
+
+    def finished(first: int, future) -> None:
+        slots.release()
+        with lock:
+            if (exc := future.exception()) is None:
+                blocks, result, elapsed = future.result()
+                stats.absorb(result, elapsed, guaranteed)
+            else:  # a bad chunk is a counted event, never a stalled stream
                 blocks = []
-            else:
-                done[first] += 1
-            while in_flight and done[in_flight[0]]:
-                oldest = in_flight.popleft()
-                done[oldest] -= 1
-                if not done[oldest]:
-                    del done[oldest]
-            if ascending:
-                buffer.floor = in_flight[0] if in_flight else last_out + 1
-            else:
-                buffer.floor = -1
-            ordered.extend(buffer.submit_group(blocks))
+                stats.chunks_in += 1
+                stats.chunk_errors += 1
+                stats.chunk_error_types[type(exc).__name__] += 1
+            combine(first, blocks)
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
-    combiner_thread = threading.Thread(target=combine)
-    for t in threads:
-        t.start()
-    combiner_thread.start()
-    for chunk in chunks:
-        inbox.put((chunk.first_sample_number, None))
-        work.put(chunk)
-    for _ in threads:
-        work.put(_SENTINEL)
-    for t in threads:
-        t.join()
-    inbox.put(_SENTINEL)
-    combiner_thread.join()
+    with pool:
+        for chunk in chunks:
+            slots.acquire()
+            with lock:
+                combine(chunk.first_sample_number, None)
+            future = pool.submit(_run_chunk, chunk)
+            future.add_done_callback(partial(finished, chunk.first_sample_number))
     ordered.extend(buffer.flush())
 
     stats.combiner = buffer.stats
@@ -220,48 +220,13 @@ def run_pipeline(
     return PipelineResult(blocks=ordered, stats=stats)
 
 
-# -- process backend -----------------------------------------------------------
-
-_PROC_CTX: ReceiverContext | None = None
-
-
-def _proc_init(plan: Numerology) -> None:
-    global _PROC_CTX
-    _PROC_CTX = ReceiverContext.build(plan)
-
-
-def _proc_run(chunk: ChunkRecord):
-    blocks, result, elapsed = process_chunk(chunk, _PROC_CTX)
-    return blocks, elapsed
-
-
 def run_pipeline_processes(
-    chunks: list[ChunkRecord],
-    plan: Numerology,
-    workers: int,
-    capacity: int = DEFAULT_CAPACITY,
+    chunks: list[ChunkRecord], plan: Numerology, workers: int
 ) -> tuple[list[DecodedBlock], list[float]]:
-    """Map chunks over a process pool; returns combined blocks + chunk times.
-
-    Results come back in input order and reach the combiner as they arrive.
-    The combiner's floor is the smallest first sample still to come back,
-    so pending blocks below it are released early whatever the input order.
-    """
-    firsts = [chunk.first_sample_number for chunk in reversed(chunks)]
-    # the floor once result i is in: the smallest first sample of chunks i + 1, ...
-    floors = list(accumulate(firsts, min))[::-1][1:] + [-1]
-    buffer = ReorderBuffer(block_spacing=plan.frame_samples, capacity=capacity)
-    ordered: list[DecodedBlock] = []
-    times: list[float] = []
-    with multiprocessing.get_context("fork").Pool(
-        processes=workers, initializer=_proc_init, initargs=(plan,)
-    ) as pool:
-        for floor, (blocks, elapsed) in zip(floors, pool.imap(_proc_run, chunks, chunksize=1)):
-            buffer.floor = floor
-            ordered.extend(buffer.submit_group(blocks))
-            times.append(elapsed)
-    ordered.extend(buffer.flush())
-    return ordered, times
+    """`run_pipeline` on the process backend, as `(blocks, chunk_seconds)`:
+    the shape the benchmark harness (`perfbench/harness.py`) calls."""
+    result = run_pipeline(chunks, ReceiverContext.build(plan), workers, backend="process")
+    return result.blocks, result.stats.chunk_seconds
 
 
 # -- benchmark harness ----------------------------------------------------------
@@ -361,16 +326,10 @@ def bench(
         done_chunks = 0
         t0 = time.perf_counter()
         while True:
-            if backend == "process":
-                _, times = run_pipeline_processes(corpus, ctx.plan, workers)
-                chunk_times.extend(times)
-            else:
-                result = run_pipeline(corpus, ctx, workers=workers)
-                chunk_times.extend(result.stats.chunk_seconds)
-                total = sum(result.stats.stage_seconds.values()) or 1.0
-                stage_shares = {
-                    k: v / total for k, v in result.stats.stage_seconds.items()
-                }
+            result = run_pipeline(corpus, ctx, workers=workers, backend=backend)
+            chunk_times.extend(result.stats.chunk_seconds)
+            total = sum(result.stats.stage_seconds.values()) or 1.0
+            stage_shares = {k: v / total for k, v in result.stats.stage_seconds.items()}
             done_chunks += len(corpus)
             elapsed = time.perf_counter() - t0
             if seconds is None or elapsed >= seconds:

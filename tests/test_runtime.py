@@ -69,13 +69,48 @@ class TestRunPipeline:
         assert result.stats.sync_failures == 1
         assert result.blocks == []
 
-    def test_pathological_chunk_counted_not_fatal(self, desk_ctx, small_corpus):
-        """A chunk too short to filter is a counted error; the rest decode."""
-        chunks = [ChunkRecord(0, np.zeros(10, np.complex64))] + list(small_corpus)
-        result = run_pipeline(chunks, desk_ctx, workers=2)
-        assert result.stats.chunk_errors == 1
-        assert result.stats.chunks_ok == len(small_corpus)
-        assert result.blocks
+    @pytest.fixture(scope="class")
+    def corpus10(self, desk_ctx):
+        corpus = make_bench_corpus(desk_ctx, n_chunks=10, seed=3)
+        return corpus, run_pipeline(corpus, desk_ctx, workers=1).blocks
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize(
+        "bad, position, workers, error",
+        [
+            (np.zeros(10, np.complex64), 0, 2, "ChunkTooShort"),
+            # not a ChunkSdrError (numpy raises inside demod), and more chunks
+            # behind it than the runner holds in flight
+            (None, 1, 1, "ValueError"),
+        ],
+        ids=["too_short", "no_samples"],
+    )
+    def test_pathological_chunk_counted_not_fatal(
+        self, desk_ctx, corpus10, backend, bad, position, workers, error
+    ):
+        """A chunk that raises is a counted error; every other chunk decodes."""
+        corpus, clean = corpus10
+        chunks = list(corpus)
+        chunks.insert(position, ChunkRecord(corpus[position].first_sample_number, bad))
+        results = []
+        runner = threading.Thread(
+            target=lambda: results.append(
+                run_pipeline(chunks, desk_ctx, workers=workers, backend=backend)
+            ),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=120)
+        assert results, "run_pipeline did not return"
+        stats = results[0].stats
+        assert stats.chunk_errors == 1
+        assert stats.chunk_error_types == {error: 1}
+        assert stats.chunks_in == len(chunks)
+        assert stats.chunks_ok == len(corpus)
+        assert [b.start_sample_number for b in results[0].blocks] == [
+            b.start_sample_number for b in clean
+        ]
+        np.testing.assert_array_equal(_bitstream(results[0].blocks), _bitstream(clean))
 
 
 class TestFloorRelease:
@@ -157,8 +192,9 @@ class TestBench:
         assert csv.splitlines()[0].startswith("workers,")
         assert len(csv.splitlines()) == 3
 
-    def test_stage_shares_sum_to_one(self, desk_ctx):
-        report = bench(desk_ctx, [1], n_chunks=3, backend="thread", seed=2)
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_stage_shares_sum_to_one(self, desk_ctx, backend):
+        report = bench(desk_ctx, [1], n_chunks=3, backend=backend, seed=2)
         shares = report.entries[0].stage_shares
         assert abs(sum(shares.values()) - 1.0) <= 0.01
 
