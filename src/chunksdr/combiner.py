@@ -6,8 +6,10 @@ ascending key order: the smallest pending block is released once its delta
 from the last emitted block is below 17x the nominal block spacing (a larger
 delta means at least a whole chunk's worth of blocks may still be in
 flight).  The runner may also set a floor: the smallest key that any block
-still to come can have.  Pending blocks below the floor are final, so they
-are emitted at once, even across a gap (a dropped or failed chunk).
+still to come can have, which is the first sample of the oldest chunk in
+flight, or of the next chunk when none is in flight.  Pending blocks below
+the floor are final, so they are emitted at once, even across a gap (a
+dropped or failed chunk).
 Repeated keys are duplicates from chunk overlap and are dropped; a duplicate
 whose bits differ from the kept block, pending or already emitted, is also
 a conflict.  When the buffer exceeds capacity, the closest non-sequential

@@ -144,12 +144,18 @@ def run_pipeline(
     process backend).  A chunk that raises is counted in `chunk_errors` and
     `chunk_error_types`, and the stream goes on.
 
-    Chunks are expected in ascending first-sample order, as the assemblers
-    produce them.  The combiner then knows that no block still to come can
-    have a key below the oldest chunk in flight, and releases every pending
-    block below that floor at once, even across a dropped chunk.  Once a
-    chunk arrives out of order, the floor is dropped for the rest of the
-    run and only the combiner's sequential rule releases blocks.
+    Chunks are expected in ascending first-sample order on the plan's chunk
+    grid (first samples whole multiples of `advance_samples` apart), as the
+    assemblers produce them, and a chunk keeps only the frames it fully
+    contains.  So no block still to come can have a key below the oldest
+    chunk in flight or, when none is in flight, below the next chunk's
+    first sample: the last hand-out plus `advance_samples`.  The combiner
+    releases every pending block below that floor at once, even across a
+    dropped chunk, so a finished chunk's blocks need not wait for the next
+    hand-out.  A chunk handed out below the last hand-out, or below the
+    floor already announced, drops the floor for the rest of the run, and
+    only the combiner's sequential rule releases blocks from then on; that
+    chunk's blocks at keys already passed count as duplicates or `stale`.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
@@ -165,6 +171,7 @@ def run_pipeline(
         raise ValueError(f"unknown backend {backend!r}")
     stats = RunStats()
     guaranteed = ctx.plan.chunk.guaranteed_frames
+    advance = ctx.plan.chunk.advance_samples
     buffer = ReorderBuffer(block_spacing=ctx.plan.frame_samples)
     ordered: list[DecodedBlock] = []
     slots = threading.Semaphore(workers + _QUEUE_DEPTH)
@@ -178,7 +185,7 @@ def run_pipeline(
         """Chunk `first` handed out (blocks None) or finished; holds `lock`."""
         nonlocal last_out, ascending
         if blocks is None:
-            ascending = ascending and (last_out is None or first >= last_out)
+            ascending = ascending and (last_out is None or first >= max(last_out, buffer.floor))
             last_out = first
             in_flight.append(first)
             blocks = []
@@ -189,7 +196,7 @@ def run_pipeline(
             done[oldest] -= 1
             if not done[oldest]:
                 del done[oldest]
-        buffer.floor = (in_flight[0] if in_flight else last_out + 1) if ascending else -1
+        buffer.floor = (in_flight[0] if in_flight else last_out + advance) if ascending else -1
         ordered.extend(buffer.submit_group(blocks))
 
     def finished(first: int, future) -> None:

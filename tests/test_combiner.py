@@ -36,6 +36,29 @@ def _desk_like_groups(n_chunks, spacing=S):
     return groups
 
 
+def _delivered_groups(seed):
+    """(chunk index, group) for 2-19 ascending desk-like chunks, 25% never delivered."""
+    rng = np.random.default_rng(seed)
+    groups = enumerate(_desk_like_groups(int(rng.integers(2, 20))))
+    return [(c, g) for c, g in groups if rng.random() >= 0.25]
+
+
+def _assert_floor_matches_no_floor(groups, floors):
+    """Submit each group with the floor set to `floors[i]`: same output, gaps
+    and nothing stale or overflowed, as without a floor."""
+    plain, floored = ReorderBuffer(block_spacing=S), ReorderBuffer(block_spacing=S)
+    want, got = [], []
+    for g, floor in zip(groups, floors):
+        want += plain.submit_group(g)
+        floored.floor = floor
+        got += floored.submit_group(g)
+    want += plain.flush()
+    got += floored.flush()
+    assert starts(got) == starts(want)
+    assert floored.stats.stale == floored.stats.overflow_emits == 0
+    assert floored.stats.gaps == plain.stats.gaps
+
+
 class TestSequentialRule:
     def test_normal_chunk_leads(self):
         """0, 16S, 32S: all sequential, emitted immediately."""
@@ -149,20 +172,19 @@ class TestFloor:
         """Chunks delivered in ascending order, some never: with the floor at
         the smallest key still to come, the output is the floorless output,
         nothing is stale and nothing overflows."""
-        rng = np.random.default_rng(seed)
-        groups = [g for g in _desk_like_groups(int(rng.integers(2, 20)))
-                  if rng.random() >= 0.25]
-        plain, floored = ReorderBuffer(block_spacing=S), ReorderBuffer(block_spacing=S)
-        want, got = [], []
-        for i, g in enumerate(groups):
-            want += plain.submit_group(g)
-            floored.floor = groups[i + 1][0].start_sample_number if i + 1 < len(groups) else -1
-            got += floored.submit_group(g)
-        want += plain.flush()
-        got += floored.flush()
-        assert starts(got) == starts(want)
-        assert floored.stats.stale == floored.stats.overflow_emits == 0
-        assert floored.stats.gaps == plain.stats.gaps
+        groups = _delivered_groups(seed)
+        nexts = [g[0].start_sample_number for _, g in groups[1:]] + [-1]
+        _assert_floor_matches_no_floor([g for _, g in groups], nexts)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_floor_at_next_chunk_on_the_grid_matches_no_floor(self, seed):
+        """As above, but the floor after group c is the smallest key chunk
+        c + 1 could hold, whether or not it is ever delivered: all that a
+        runner with nothing in flight knows."""
+        groups = _delivered_groups(seed)
+        grid = [-(-(c + 1) * 28672 // 1680) * S for c, _ in groups]  # ceil
+        _assert_floor_matches_no_floor([g for _, g in groups], grid)
 
 
 class TestOverflow:

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+import chunksdr.runtime as runtime
 from chunksdr.combiner import ReorderBuffer
 from chunksdr.distributor import ChunkRecord
 from chunksdr.e2e import run_e2e
@@ -113,6 +114,21 @@ class TestRunPipeline:
         np.testing.assert_array_equal(_bitstream(results[0].blocks), _bitstream(clean))
 
 
+def _released_from(monkeypatch, key):
+    """An event set once a block with a key at or above `key` leaves the combiner."""
+    released = threading.Event()
+    submit = ReorderBuffer.submit_group
+
+    def watching_submit(buf, blocks):
+        out = submit(buf, blocks)
+        if any(b.start_sample_number >= key for b in out):
+            released.set()
+        return out
+
+    monkeypatch.setattr(ReorderBuffer, "submit_group", watching_submit)
+    return released
+
+
 class TestFloorRelease:
     """Blocks after a lost chunk leave the combiner while the stream goes on."""
 
@@ -124,17 +140,7 @@ class TestFloorRelease:
     def test_blocks_past_a_lost_chunk_released_before_the_stream_ends(
         self, desk_ctx, corpus5, monkeypatch, loss
     ):
-        after_gap = corpus5[3].first_sample_number
-        released = threading.Event()
-        submit = ReorderBuffer.submit_group
-
-        def watching_submit(buf, blocks):
-            out = submit(buf, blocks)
-            if any(b.start_sample_number >= after_gap for b in out):
-                released.set()
-            return out
-
-        monkeypatch.setattr(ReorderBuffer, "submit_group", watching_submit)
+        released = _released_from(monkeypatch, corpus5[3].first_sample_number)
         seen_before_end = []
 
         def feed():
@@ -149,6 +155,76 @@ class TestFloorRelease:
         assert result.stats.chunk_errors == (1 if loss == "too_short" else 0)
         assert result.stats.combiner.overflow_emits == 0
         assert result.stats.combiner.stale == 0
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_finished_chunk_released_before_next_hand_out(
+        self, desk_ctx, corpus5, monkeypatch, backend
+    ):
+        """Chunk 2 is lost and nothing is in flight once chunk 3 finishes:
+        chunk 3's blocks leave the combiner before chunk 4 is handed out."""
+        released = _released_from(monkeypatch, corpus5[3].first_sample_number)
+        seen_before_hand_out = []
+
+        def feed():
+            yield from (corpus5[i] for i in (0, 1, 3))
+            seen_before_hand_out.append(released.wait(timeout=20))
+            yield corpus5[4]
+
+        result = run_pipeline(feed(), desk_ctx, workers=1, backend=backend)
+        assert seen_before_hand_out == [True]
+        assert len(result.blocks) == 69
+        assert result.stats.combiner.gaps == 1
+        assert result.stats.combiner.stale == 0
+
+    @pytest.mark.parametrize("late", [1, 2], ids=["below_last_hand_out", "below_floor"])
+    def test_late_hand_out_counted(self, desk_ctx, corpus5, monkeypatch, late):
+        """A chunk handed out after chunk 2 has finished, below chunk 2 or again
+        at chunk 2 (below the floor announced when it finished): the floor is
+        off from then on, keys stay ascending and every decoded block is
+        accounted for."""
+        chunk2_first = corpus5[2].first_sample_number
+        chunk2_done = threading.Event()
+        handed_late = threading.Event()
+        floors_after_late = []
+        decoded = []
+        submit, process = ReorderBuffer.submit_group, runtime.process_chunk
+
+        def watching_submit(buf, blocks):
+            if handed_late.is_set():
+                floors_after_late.append(buf.floor)
+            out = submit(buf, blocks)
+            if any(b.start_sample_number >= chunk2_first for b in blocks):
+                chunk2_done.set()
+            return out
+
+        def counting_process(*args, **kwargs):
+            out = process(*args, **kwargs)
+            decoded.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(ReorderBuffer, "submit_group", watching_submit)
+        monkeypatch.setattr(runtime, "process_chunk", counting_process)
+
+        def feed():
+            yield corpus5[0]
+            yield corpus5[2]
+            assert chunk2_done.wait(timeout=20)
+            handed_late.set()
+            yield corpus5[late]
+
+        result = run_pipeline(feed(), desk_ctx, workers=1)
+        combiner = result.stats.combiner
+        keys = [b.start_sample_number for b in result.blocks]
+        assert len(floors_after_late) >= 2  # the late hand-out and its blocks
+        assert set(floors_after_late) == {-1}
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(decoded) == 3
+        assert combiner.emitted == len(result.blocks)
+        assert combiner.emitted + combiner.duplicates + combiner.stale == sum(decoded)
+        if late == 1:
+            assert combiner.stale > 0  # chunk 2's blocks had left before chunk 1 came
+        else:
+            assert combiner.duplicates >= decoded[-1]  # the repeat adds nothing
 
     def test_out_of_order_feed_matches_ascending(self, desk_ctx, small_corpus):
         ascending = run_pipeline(small_corpus[:3], desk_ctx, workers=1)
