@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LengthMismatch
-from .iqfile import dequantize_int8, quantize_int8
+from .iqfile import count_clipped, dequantize_int8, quantize_int8
 from .numerology import Numerology, first_sample_of_packet, group_of_packet
 
 PACKET_HEADER = struct.Struct("<Q")
@@ -72,7 +72,7 @@ def packetize(
     p = plan.packet.samples_per_packet
     n_packets = iq.size // p
     residual = iq.size - n_packets * p
-    clipped = int(np.count_nonzero(np.maximum(np.abs(iq.real), np.abs(iq.imag)) > full_scale))
+    clipped = count_clipped(iq, full_scale)
     raw = quantize_int8(iq[: n_packets * p], full_scale)
     packets = [
         Packet(

@@ -5,6 +5,13 @@ all-zero codewords, and per-codeword early termination stops iterating a
 word once its syndrome is zero.  The reference decoder is normalized
 min-sum (factor 0.75, 50 iterations max) on alist-loaded sparse matrices.
 LLR convention: positive means bit 0.
+
+Every worker builds or inherits a codec, so making one does only what
+decoding needs: the alist file is parsed in one numpy call and checked
+with array operations, and the edge tables are built without Python
+loops.  The systematic encoder (the dense matrix, and a GF(2) inverse
+unless the parity part is an accumulator) is built on the first `encode`;
+receivers never call it.
 """
 
 from __future__ import annotations
@@ -50,60 +57,130 @@ class ParityCheckMatrix:
 
     def to_dense(self) -> np.ndarray:
         h = np.zeros((self.m, self.n), dtype=np.uint8)
-        for c, rows in enumerate(self.col_rows):
-            h[rows, c] = 1
+        col_wt = np.fromiter(map(len, self.col_rows), np.int64, count=self.n)
+        h[np.concatenate(self.col_rows), np.repeat(np.arange(self.n), col_wt)] = 1
         return h
 
 
+# byte classes of the alist alphabet; anything else is not part of an integer
+_SPACE, _DIGIT, _SIGN = 1, 2, 3
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\n\r\v\f")] = _SPACE
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b"+-")] = _SIGN
+
+
+def _alist_records(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, ParseError]:
+    """The integers of an alist file's non-blank lines, in one numpy parse.
+
+    Returns (values, lines, counts, past_end): the integers of every
+    non-blank line before the first line holding a token that is not an
+    integer, those lines' 0-based numbers and value counts, and the error a
+    reader meets on the line after them (that bad line, or the end of file).
+    Lines break where `str.splitlines` breaks them.
+    """
+    b = np.frombuffer(raw, dtype=np.uint8)
+    cls = _BYTE_CLASS[b]
+    space = cls == _SPACE
+    after_space = np.ones_like(space)  # the byte before is whitespace, or there is none
+    after_space[1:] = space[:-1]
+    before_digit = np.zeros_like(space)
+    before_digit[:-1] = cls[1:] == _DIGIT
+    bad = (cls == 0) | ((cls == _SIGN) & ~(after_space & before_digit))
+    breaks = np.flatnonzero(
+        (b == ord("\n")) | (b == ord("\v")) | (b == ord("\f"))
+        | ((b == ord("\r")) & np.append(b[1:] != ord("\n"), True))
+    )
+    line_start = np.concatenate([[0], breaks + 1])
+    if line_start[-1] < b.size:  # a last line without a break
+        line_start = np.append(line_start, b.size)
+    n_lines = line_start.size - 1
+    past_end = ParseError("unexpected end of file", line=n_lines)
+    stop = n_lines
+    if bad.any():
+        first_bad = int(np.argmax(bad))
+        stop = int(np.searchsorted(breaks, first_bad))
+        past_end = ParseError(f"not an integer: {raw[first_bad:first_bad + 1]!r}", line=stop + 1)
+    token_start = np.flatnonzero(~space & after_space)
+    per_line = np.diff(np.searchsorted(token_start, line_start[: stop + 1]))
+    lines = np.flatnonzero(per_line)
+    values = np.zeros(0, dtype=np.int64)
+    if lines.size:  # whitespace alone would parse as one 0
+        values = np.fromstring(raw[: line_start[stop]], dtype=np.int64, sep=" ")
+    return values, lines, per_line[lines], past_end
+
+
 def load_matrix(path: str | Path) -> ParityCheckMatrix:
-    """Parse and validate an alist-format sparse matrix file."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines()]
-    idx = 0
+    """Parse and validate an alist-format sparse matrix file.
 
-    def next_ints(expect: int | None = None) -> list[int]:
-        nonlocal idx
-        while idx < len(lines) and not lines[idx].strip():
-            idx += 1
-        if idx >= len(lines):
-            raise ParseError("unexpected end of file", line=len(lines))
-        try:
-            vals = [int(tok) for tok in lines[idx].split()]
-        except ValueError as exc:
-            raise ParseError(str(exc), line=idx + 1) from None
-        if expect is not None and len(vals) != expect:
-            raise ParseError(f"expected {expect} values, got {len(vals)}", line=idx + 1)
-        idx += 1
-        return vals
+    Tokens are ASCII decimal integers; blank lines are skipped and lines after
+    the last row list are not read.  The first bad line read raises
+    ParseError with its 1-based number: a wrong value count, a token that is
+    not an integer, or an entry list that does not match its weight or points
+    past n or m.  Weights above the declared maxima, or column and row lists
+    that disagree, raise DimensionMismatch.
+    """
+    values, lines, counts, past_end = _alist_records(Path(path).read_bytes())
+    offsets = np.concatenate([[0], np.cumsum(counts)])
 
-    n, m = next_ints(2)
-    max_col, max_row = next_ints(2)
-    col_wt = next_ints(n)
-    row_wt = next_ints(m)
-    if any(w <= 0 for w in col_wt):
+    def record(i: int, expect: int) -> np.ndarray:
+        if i >= lines.size:
+            raise past_end
+        if counts[i] != expect:
+            raise ParseError(f"expected {expect} values, got {counts[i]}", line=int(lines[i]) + 1)
+        return values[offsets[i] : offsets[i + 1]]
+
+    n, m = record(0, 2).tolist()
+    max_col, max_row = record(1, 2).tolist()
+    col_wt = record(2, n)
+    row_wt = record(3, m)
+    if (col_wt <= 0).any():
         raise ParseError("matrix has an empty column", line=3)
-    if max(col_wt) > max_col or max(row_wt) > max_row:
+    if col_wt.max() > max_col or row_wt.max() > max_row:
         raise DimensionMismatch("declared max weights inconsistent with weight lists")
-    col_rows = []
-    for c in range(n):
-        vals = next_ints(max_col)
-        rows = np.array([v - 1 for v in vals if v > 0], dtype=np.int64)
-        if rows.size != col_wt[c] or np.any(rows < 0) or np.any(rows >= m):
-            raise ParseError(f"column {c + 1} entries invalid", line=idx)
-        col_rows.append(rows)
-    row_cols = []
-    for r in range(m):
-        vals = next_ints(max_row)
-        cols = np.array([v - 1 for v in vals if v > 0], dtype=np.int64)
-        if cols.size != row_wt[r] or np.any(cols < 0) or np.any(cols >= n):
-            raise ParseError(f"row {r + 1} entries invalid", line=idx)
-        row_cols.append(cols)
-    # cross-check the two adjacency lists
-    edges_c = {(int(r), c) for c, rows in enumerate(col_rows) for r in rows}
-    edges_r = {(r, int(c)) for r, cols in enumerate(row_cols) for c in cols}
-    if edges_c != edges_r:
+    # n column lists, then m row lists; the first line at fault raises
+    got = counts[4 : 4 + n + m]
+    expect = np.where(np.arange(got.size) < n, max_col, max_row)
+    miscounted = np.flatnonzero(got != expect)
+    well_formed = int(miscounted[0]) if miscounted.size else got.size
+    n_cols = min(well_formed, n)
+    n_rows = well_formed - n_cols
+    start = offsets[4] + n_cols * max_col
+    # with no well-formed line the declared width is unchecked (it may pass int64): use 0
+    cols = values[offsets[4] : start].reshape(n_cols, max_col if n_cols else 0)
+    rows = values[start : start + n_rows * max_row].reshape(n_rows, max_row if n_rows else 0)
+    invalid = np.concatenate([
+        ((cols > 0).sum(axis=1) != col_wt[:n_cols]) | (cols > m).any(axis=1),
+        ((rows > 0).sum(axis=1) != row_wt[:n_rows]) | (rows > n).any(axis=1),
+    ])
+    if invalid.any():
+        i = int(np.argmax(invalid))
+        what = f"column {i + 1}" if i < n else f"row {i - n + 1}"
+        raise ParseError(f"{what} entries invalid", line=int(lines[4 + i]) + 1)
+    if well_formed < n + m:
+        record(4 + well_formed, max_col if well_formed < n else max_row)
+    col_flat = cols[cols > 0] - 1
+    row_flat = rows[rows > 0] - 1
+    # cross-check the two adjacency lists as sets of (row, column) edges
+    edges_c = _distinct(col_flat * n + np.repeat(np.arange(n), col_wt))
+    edges_r = _distinct(np.repeat(np.arange(m), row_wt) * n + row_flat)
+    if not np.array_equal(edges_c, edges_r):
         raise DimensionMismatch("column and row adjacency lists disagree")
-    return ParityCheckMatrix(n=n, m=m, col_rows=col_rows, row_cols=row_cols)
+    return ParityCheckMatrix(
+        n=n, m=m, col_rows=_split(col_flat, col_wt), row_cols=_split(row_flat, row_wt)
+    )
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values (`np.unique` pays a first-call cost of ~10 ms)."""
+    keys = np.sort(keys)
+    return keys[np.append(True, keys[1:] != keys[:-1])]
+
+
+def _split(flat: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """Consecutive views of `flat`, one per size."""
+    ends = np.cumsum(sizes).tolist()
+    return [flat[e - s : e] for s, e in zip(sizes.tolist(), ends)]
 
 
 class PassthroughCodec:
@@ -139,7 +216,7 @@ class LdpcCodec:
         self.matrix = matrix
         self.descriptor = CodecDescriptor(name=name, n=matrix.n, k=matrix.n - matrix.m)
         self._build_edges()
-        self._build_encoder()
+        self._encoder: tuple[np.ndarray, np.ndarray | None] | None = None
 
     @property
     def n(self) -> int:
@@ -150,54 +227,49 @@ class LdpcCodec:
         return self.descriptor.k
 
     def _build_edges(self) -> None:
+        """Edges in row order, plus padded per-row and per-column gather tables."""
         mat = self.matrix
-        rows, cols = [], []
-        for r, cs in enumerate(mat.row_cols):
-            rows.extend([r] * cs.size)
-            cols.extend(cs.tolist())
-        self.edge_row = np.array(rows, dtype=np.int64)
-        self.edge_col = np.array(cols, dtype=np.int64)
-        n_edges = self.edge_row.size
+        row_wt = np.fromiter(map(len, mat.row_cols), np.int64, count=mat.m)
+        self.edge_col = np.concatenate(mat.row_cols)
+        self.edge_row = np.repeat(np.arange(mat.m, dtype=np.int64), row_wt)
+        n_edges = self.edge_col.size
+        edges = np.arange(n_edges, dtype=np.int64)
         # padded gather tables; the sentinel edge (index n_edges) is inert
-        max_row = max(cs.size for cs in mat.row_cols)
-        max_col = max(rs.size for rs in mat.col_rows)
-        self.row_gather = np.full((mat.m, max_row), n_edges, dtype=np.int64)
-        self.col_gather = np.full((mat.n, max_col), n_edges, dtype=np.int64)
-        pos = 0
-        for r, cs in enumerate(mat.row_cols):
-            self.row_gather[r, : cs.size] = np.arange(pos, pos + cs.size)
-            pos += cs.size
-        by_col: list[list[int]] = [[] for _ in range(mat.n)]
-        for e, c in enumerate(self.edge_col):
-            by_col[c].append(e)
-        for c, es in enumerate(by_col):
-            self.col_gather[c, : len(es)] = es
+        self.row_gather = np.full((mat.m, row_wt.max()), n_edges, dtype=np.int64)
+        row_start = np.cumsum(row_wt) - row_wt
+        self.row_gather[self.edge_row, edges - row_start[self.edge_row]] = edges
+        by_col = np.argsort(self.edge_col, kind="stable")
+        col_of = self.edge_col[by_col]
+        col_wt = np.bincount(self.edge_col, minlength=mat.n)
+        self.col_gather = np.full((mat.n, col_wt.max()), n_edges, dtype=np.int64)
+        col_start = np.cumsum(col_wt) - col_wt
+        self.col_gather[col_of, edges - col_start[col_of]] = by_col
         self.n_edges = n_edges
 
-    def _build_encoder(self) -> None:
-        """Detect an accumulator tail for O(n) encoding, else invert over GF(2)."""
+    def _build_encoder(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(A, B^-1) for H = [A | B]; B^-1 is None for an accumulator tail,
+        which encodes in O(n).  Otherwise B is inverted over GF(2)."""
         mat = self.matrix
         k, m = self.descriptor.k, mat.m
         dense = mat.to_dense()
         a, b = dense[:, :k], dense[:, k:]
         bidiag = np.tri(m, m, 0, dtype=np.uint8) - np.tri(m, m, -2, dtype=np.uint8)
         if np.array_equal(b, bidiag.astype(np.uint8)):
-            self._accumulator = True
-            self._a = a
-        else:
-            self._accumulator = False
-            self._a = a
-            self._b_inv = _gf2_inverse(b)
+            return a, None
+        return a, _gf2_inverse(b)
 
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
         bits = np.asarray(info_bits, dtype=np.uint8)
         if bits.size != self.k:
             raise LengthMismatch(f"{bits.size} info bits, expected {self.k}")
-        au = (self._a @ bits) % 2
-        if self._accumulator:
+        if self._encoder is None:  # receivers only decode, so build on demand
+            self._encoder = self._build_encoder()
+        a, b_inv = self._encoder
+        au = (a @ bits) % 2
+        if b_inv is None:
             parity = np.bitwise_and(np.cumsum(au), 1).astype(np.uint8)
         else:
-            parity = (self._b_inv @ au) % 2
+            parity = (b_inv @ au) % 2
         return np.concatenate([bits, parity]).astype(np.uint8)
 
     def syndrome(self, codeword: np.ndarray) -> np.ndarray:

@@ -192,23 +192,24 @@ def tx_rx_taps(rolloff: float) -> tuple[np.ndarray, np.ndarray]:
 
     halfspan = 16  # cascade spans ~10 symbols; constrain every center it touches
     n_sym = 80
-
-    def cascade_centers(rx: np.ndarray, phase: int) -> np.ndarray:
-        syms = np.zeros(n_sym)
-        syms[40 + phase] = 1.0
-        up = upfirdn(tx, syms, up=INTERNAL_SPS, down=5)[8 : 8 + n_sym * INTERNAL_SPS // 5]
-        y = upfirdn(rx, up, up=5, down=4)[10 : 10 + n_sym * 2]
-        centers = y[0 : 2 * n_sym : 2]
-        return centers[40 + phase - halfspan : 40 + phase + halfspan + 1]
-
     span = 2 * halfspan + 1
     n_isi = 5 * span
+    # Column j holds the symbol-center response of the TX cascade followed by
+    # the RX filter probe[j] = 1 (5/4 up/down), for a unit symbol at each of
+    # the five polyphase offsets p.  RX output 10 + 2q (symbol center q) is
+    # then the zero-stuffed TX output at k = 4 * (10 + 2q) - j: up[k / 5] when
+    # 5 divides k and k / 5 lies inside `up`, else 0.
+    taps = np.arange(RRC_TAPS)
     a = np.zeros((n_isi + 5, RRC_TAPS))
-    for j in range(RRC_TAPS):
-        probe = np.zeros(RRC_TAPS)
-        probe[j] = 1.0
-        a[:n_isi, j] = np.concatenate([cascade_centers(probe, p) for p in range(5)])
-        a[n_isi + j % 5, j] = 1.0  # DC per polyphase branch
+    for p in range(5):
+        syms = np.zeros(n_sym)
+        syms[40 + p] = 1.0
+        up = upfirdn(tx, syms, up=INTERNAL_SPS, down=5)[8 : 8 + n_sym * INTERNAL_SPS // 5]
+        q = np.arange(40 + p - halfspan, 40 + p + halfspan + 1)
+        k = 4 * (10 + 2 * q)[:, None] - taps[None, :]
+        hit = (k % 5 == 0) & (k >= 0) & (k < 5 * up.size)
+        a[p * span : (p + 1) * span][hit] = up[k[hit] // 5]
+    a[n_isi + taps % 5, taps] = 1.0  # DC per polyphase branch
     target = np.zeros(n_isi + 5)
     weight = np.ones(n_isi + 5)
     target[n_isi:] = 1.0

@@ -32,6 +32,61 @@ def _alist_path(name):
     return str(resources.files("chunksdr.data").joinpath(f"{name}.alist"))
 
 
+def _replace(line_no, index, token):
+    def edit(lines):
+        toks = lines[line_no - 1].split()
+        toks[index] = token
+        lines[line_no - 1] = " ".join(toks)
+    return edit
+
+
+def _drop_last(line_no):
+    def edit(lines):
+        lines[line_no - 1] = " ".join(lines[line_no - 1].split()[:-1])
+    return edit
+
+
+def _insert_blank(before_line_no):
+    return lambda lines: lines.insert(before_line_no - 1, "")
+
+
+def _truncate(n_lines):
+    def edit(lines):
+        del lines[n_lines:]
+    return edit
+
+
+# Edits to the toy alist (lines 1-4 header, 5-100 columns, 101-148 rows),
+# applied in order, with the error class and the line a ParseError reports.
+_MALFORMED = {
+    "short_header": ([_drop_last(1)], ParseError, 1),
+    "short_weight_list": ([_drop_last(3)], ParseError, 3),
+    "short_row_weight_list": ([_drop_last(4)], ParseError, 4),
+    "short_column_line": ([_drop_last(10)], ParseError, 10),
+    "short_row_line": ([_drop_last(130)], ParseError, 130),
+    "non_integer_token": ([_replace(20, 1, "x")], ParseError, 20),
+    "float_token": ([_replace(121, 0, "7.0")], ParseError, 121),
+    "non_integer_header": ([_replace(2, 0, "3a")], ParseError, 2),
+    "column_index_past_m": ([_replace(5, 0, "49")], ParseError, 5),
+    "row_index_past_n": ([_replace(111, 2, "97")], ParseError, 111),
+    "column_weight_mismatch": ([_replace(7, 1, "0")], ParseError, 7),
+    "declared_max_beyond_int64": ([_replace(2, 0, "9" * 20)], ParseError, 5),
+    "column_weight_above_declared_max": ([_replace(2, 0, "2")], DimensionMismatch, None),
+    "row_weight_above_declared_max": ([_replace(2, 1, "5")], DimensionMismatch, None),
+    "empty_column": ([_replace(3, 4, "0")], ParseError, 3),
+    "lists_disagree": ([_replace(101, 0, "36")], DimensionMismatch, None),
+    "blank_lines_counted": (
+        [_replace(5, 0, "49"), _insert_blank(2), _insert_blank(2)], ParseError, 7),
+    "earliest_line_wins": (
+        [_replace(30, 0, "49"), _replace(60, 0, "x"), _drop_last(120)], ParseError, 30),
+    "count_error_before_invalid_column": (
+        [_drop_last(40), _replace(41, 0, "49")], ParseError, 40),
+    "truncated_in_columns": ([_truncate(20)], ParseError, 20),
+    "truncated_in_rows": ([_truncate(147)], ParseError, 147),
+    "truncated_at_bad_token": ([_replace(147, 0, "z"), _truncate(147)], ParseError, 147),
+}
+
+
 class TestLoadMatrix:
     def test_toy_dimensions(self):
         mat = load_matrix(_alist_path("ldpc_96_48"))
@@ -54,6 +109,31 @@ class TestLoadMatrix:
         p.write_text("2 2\n1 1\n1 0\n1 1\n1\n0\n1\n2\n")
         with pytest.raises((ParseError, DimensionMismatch)):
             load_matrix(p)
+
+    @pytest.mark.parametrize("edits, exc_type, line", _MALFORMED.values(), ids=_MALFORMED)
+    def test_malformed_file_error(self, edits, exc_type, line, tmp_path):
+        """The error class, and for ParseError the 1-based line it reports."""
+        text = resources.files("chunksdr.data").joinpath("ldpc_96_48.alist").read_text()
+        lines = text.splitlines()
+        for edit in edits:
+            edit(lines)
+        p = tmp_path / "bad.alist"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(exc_type) as info:
+            load_matrix(p)
+        assert type(info.value) is exc_type
+        if exc_type is ParseError:
+            assert info.value.line == line
+
+    def test_trailing_lines_ignored(self, tmp_path):
+        """Lines after the last row list are not read."""
+        text = resources.files("chunksdr.data").joinpath("ldpc_96_48.alist").read_text()
+        p = tmp_path / "tail.alist"
+        p.write_text(text + "\n\nnot part of the matrix 1.5\n")
+        got, want = load_matrix(p), load_matrix(_alist_path("ldpc_96_48"))
+        assert (got.n, got.m) == (want.n, want.m)
+        for a, b in zip(got.col_rows + got.row_cols, want.col_rows + want.row_cols):
+            np.testing.assert_array_equal(a, b)
 
     def test_girth_at_least_six(self):
         """No two columns share two rows (the generator's girth check)."""

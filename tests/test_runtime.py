@@ -6,11 +6,15 @@ import threading
 import numpy as np
 import pytest
 
+import chunksdr.fec as fec
 import chunksdr.runtime as runtime
+from chunksdr.channel import ChannelConfig, apply as chan_apply
 from chunksdr.combiner import ReorderBuffer
-from chunksdr.distributor import ChunkRecord
+from chunksdr.distributor import ChunkRecord, assemble_chunks, packetize
 from chunksdr.e2e import run_e2e
+from chunksdr.modem import generate_stream
 from chunksdr.runtime import (
+    ReceiverContext,
     bench,
     default_workers,
     make_bench_corpus,
@@ -26,6 +30,52 @@ def small_corpus(desk_ctx):
 
 def _bitstream(blocks):
     return np.concatenate([b.info_bits for b in blocks]) if blocks else np.zeros(0, np.uint8)
+
+
+def _owned_arrays(*roots, depth=5):
+    """The distinct arrays that own the memory of every array reachable from
+    `roots` through attributes, lists, tuples and dicts (views count once, as
+    their base)."""
+    owners, seen = {}, set()
+
+    def walk(obj, depth):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj
+            return
+        if depth == 0 or id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, (list, tuple)):
+            children = obj
+        elif isinstance(obj, dict):
+            children = obj.values()
+        elif hasattr(obj, "__dict__"):
+            children = vars(obj).values()
+        else:
+            return
+        for child in children:
+            walk(child, depth - 1)
+
+    for root in roots:
+        walk(root, depth)
+    return list(owners.values())
+
+
+class TestReceiverContext:
+    def test_footprint_under_one_megabyte(self):
+        """Every worker inherits the context: it holds the decoder's tables and
+        the demod tables, and no encoder until something encodes."""
+        fec._load_packaged.cache_clear()  # a codec no other test has encoded with
+        ctx = ReceiverContext.build("desk")
+        arrays = _owned_arrays(ctx.codec, ctx.tables)
+        assert len(arrays) < 100
+        assert sum(a.nbytes for a in arrays) < 1_000_000
+        rng = np.random.default_rng(0)
+        codeword = ctx.codec.encode(rng.integers(0, 2, ctx.codec.k, dtype=np.uint8))
+        assert not ctx.codec.syndrome(codeword).any()
+        assert sum(a.nbytes for a in _owned_arrays(ctx.codec)) > 1_000_000  # dense H now
 
 
 class TestRunPipeline:
@@ -112,6 +162,25 @@ class TestRunPipeline:
             b.start_sample_number for b in clean
         ]
         np.testing.assert_array_equal(_bitstream(results[0].blocks), _bitstream(clean))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_start_cut_below_half_frame_loses_no_frame():
+    """A stream received from sample 400 of the transmission (F = 1680) must
+    decode every whole frame.  Today each frame is keyed on a grid anchored
+    at receive sample 0, and a chunk rejects a frame it fully holds when the
+    snapped key falls below its first sample: 712 blocks, 5 gaps and key
+    spacings of 2F, where the uncut stream gives 717 blocks and no gap."""
+    ctx = ReceiverContext.build("desk", servers=2)
+    plan = ctx.plan
+    stream = generate_stream(plan.profile, ctx.codec, 720, seed=0)
+    rx = chan_apply(stream.samples, ChannelConfig.for_profile(plan.profile, esn0_db=12.0, seed=0))
+    packets = packetize(rx[400:], plan).packets
+    chunks, dropped = assemble_chunks([packets] * plan.distribution.num_servers, plan)
+    assert (len(chunks), dropped) == (42, 0)
+    result = run_pipeline(chunks, ctx, workers=2)
+    assert result.stats.combiner.gaps == 0
+    assert len(result.blocks) == 717
 
 
 def _released_from(monkeypatch, key):
