@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NoPeak
+from ..iqfile import SC8, dequantize_int8
 from ..modem import Preamble
 from ..numerology import WaveformProfile
 from .filters import DOWN, UP, resample_matched_filter, rx_taps
@@ -79,16 +80,23 @@ def demod_chunk(
 ) -> ChunkDemodResult:
     """Demodulate one chunk into soft frames tagged with absolute boundaries.
 
-    `taps` is an optional monitor tap set; when absent the probe cost is a
-    single None check per stage.
+    8-bit (``SC8``) samples are dequantized here, straight into the padded
+    buffer; other samples are converted to complex64.  `taps` is an optional
+    monitor tap set; when absent the probe cost is a single None check per
+    stage.
     """
     profile = tables.profile
     stage_t: dict[str, float] = {}
     t0 = time.perf_counter()
 
-    padded = np.concatenate(
-        [np.zeros(HEAD_PAD_SAMPLES, np.complex64), np.asarray(chunk.samples, np.complex64)]
-    )
+    samples = np.asarray(chunk.samples)
+    if samples.ndim != 1:
+        raise ValueError(f"chunk samples must be one-dimensional, not {samples.ndim}-d")
+    padded = np.zeros(HEAD_PAD_SAMPLES + samples.size, np.complex64)
+    if samples.dtype == SC8:
+        dequantize_int8(samples, chunk.full_scale, out=padded[HEAD_PAD_SAMPLES:])
+    else:
+        padded[HEAD_PAD_SAMPLES:] = samples
     resampled = resample_matched_filter(padded, tables.rx_taps)
     t1 = time.perf_counter()
     stage_t["resample"] = t1 - t0
@@ -140,7 +148,7 @@ def demod_chunk(
     frames: list[SoftFrame] = []
     frame_samples = profile.frame_samples
     chunk_first = chunk.first_sample_number
-    chunk_end = chunk_first + len(chunk.samples)
+    chunk_end = chunk_first + samples.size
     for i, start_sym in enumerate(sync.frame_starts):
         pos = tracked.positions[start_sym]
         abs_est = chunk_first - HEAD_PAD_SAMPLES + pos * (DOWN / UP)

@@ -7,7 +7,9 @@ overlap by exactly one group.  The default transport is in-process bounded
 queues; a UDP-multicast backend with the same interface is optional.
 
 Wire format: 8-byte little-endian packet number, then the payload
-(interleaved signed 8-bit I/Q, 2 bytes per sample).
+(interleaved signed 8-bit I/Q, 2 bytes per sample).  The wire format reaches
+the worker: an assembled chunk is its packets' payloads joined, as ``SC8``
+samples plus the full scale, and the worker dequantizes it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LengthMismatch
-from .iqfile import count_clipped, dequantize_int8, quantize_int8
+from .iqfile import SC8, count_clipped, dequantize_int8, quantize_int8
 from .numerology import Numerology, first_sample_of_packet, group_of_packet
 
 PACKET_HEADER = struct.Struct("<Q")
@@ -44,10 +46,18 @@ class Packet:
 
 @dataclass
 class ChunkRecord:
-    """One worker's unit of work: contiguous samples plus their origin."""
+    """One worker's unit of work: contiguous samples plus their origin.
+
+    ``samples`` holds one entry per sample, so its length is the sample count
+    and slices are in samples.  Assembled chunks carry the wire's 8-bit I/Q
+    as ``iqfile.SC8`` samples, a quarter of the complex64 size, and
+    ``full_scale`` is their quantizer scale; the worker dequantizes them.
+    Complex64 samples are taken as they are, and ``full_scale`` is unused.
+    """
 
     first_sample_number: int
-    samples: np.ndarray  # complex64, chunk_samples long
+    samples: np.ndarray  # SC8 or complex64
+    full_scale: float = 1.0
 
 
 @dataclass
@@ -172,7 +182,8 @@ class ChunkAssembler:
         self.stats.chunks_emitted += 1
         return ChunkRecord(
             first_sample_number=first_sample,
-            samples=dequantize_int8(win.buffer(), self.full_scale),
+            samples=np.frombuffer(win.buffer(), dtype=SC8),
+            full_scale=self.full_scale,
         )
 
 
@@ -252,11 +263,12 @@ class InProcessTransport:
             for s in range(plan.distribution.num_servers)
         ]
         self.loss_rate = loss_rate
-        self._rng = np.random.default_rng(seed)
+        # only a lossy transport draws, so a loss-free one imports no numpy.random
+        self._rng = np.random.default_rng(seed) if loss_rate > 0 else None
         self.dropped_full = 0
 
     def send(self, packet: Packet) -> None:
-        if self.loss_rate and self._rng.random() < self.loss_rate:
+        if self._rng is not None and self._rng.random() < self.loss_rate:
             return
         group = group_of_packet(packet.packet_number, self.plan)
         for server, subs in enumerate(self.subs):

@@ -296,7 +296,6 @@ class LdpcCodec:
             raise LengthMismatch(f"{n} LLRs per word, expected {self.n}")
         ne = self.n_edges
         v2c = np.empty((batch, ne + 1), dtype=np.float32)
-        c2v = np.zeros((batch, ne + 1), dtype=np.float32)
         v2c[:, :ne] = llrs[:, self.edge_col]
         v2c[:, ne] = np.inf  # sentinel: magnitude +inf, sign +
         out_bits = (llrs < 0).astype(np.uint8)
@@ -326,7 +325,6 @@ class LdpcCodec:
             c2v_active = np.zeros((new_c2v.shape[0], ne + 1), dtype=np.float32)
             c2v_active[:, self.row_gather.ravel()] = new_c2v.reshape(new_c2v.shape[0], -1)
             c2v_active[:, ne] = 0.0
-            c2v[active] = c2v_active
             total = llrs[active] + c2v_active[:, self.col_gather].sum(axis=2)
             v2c[active, :ne] = total[:, self.edge_col] - c2v_active[:, :ne]
             hard = (total < 0).astype(np.uint8)

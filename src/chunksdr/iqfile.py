@@ -2,6 +2,7 @@
 
 ``cf32``: interleaved 32-bit float I,Q, little-endian.
 ``sc8``: interleaved signed 8-bit I,Q (same quantization as the packetizer).
+``SC8`` is its one-sample dtype, so an sc8 buffer indexes by sample.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 FULL_SCALE_INT8 = 127
+SC8 = np.dtype([("i", "i1"), ("q", "i1")])
 # float32 components per block of the quantizer and the clip counter: their
 # scratch space is bounded by this, or by the input when it is shorter
 _BLOCK_FLOATS = 16384
@@ -56,12 +58,23 @@ def count_clipped(samples: np.ndarray, full_scale: float = 1.0) -> int:
     return int(clipped)
 
 
-def dequantize_int8(raw: np.ndarray | bytes, full_scale: float = 1.0) -> np.ndarray:
-    """Interleaved int8 I/Q to complex64: float32(code) * float32(full_scale
-    / 127) per component, in one ufunc pass with no temporaries."""
-    data = np.frombuffer(raw, dtype=np.int8) if isinstance(raw, bytes) else np.asarray(raw, dtype=np.int8)
+def dequantize_int8(
+    raw: np.ndarray | bytes, full_scale: float = 1.0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Interleaved int8 I/Q (bytes, int8 codes or ``SC8`` samples) to
+    complex64: float32(code) * float32(full_scale / 127) per component, in
+    one ufunc pass with no temporaries, into ``out`` when it is given."""
+    if isinstance(raw, bytes):
+        data = np.frombuffer(raw, dtype=np.int8)
+    elif isinstance(raw, np.ndarray) and raw.dtype == SC8:
+        data = np.ascontiguousarray(raw).view(np.int8)
+    else:
+        data = np.asarray(raw, dtype=np.int8)
     scale = np.float32(full_scale / FULL_SCALE_INT8)
-    return np.multiply(data, scale, dtype=np.float32).view(np.complex64)
+    if out is None:
+        return np.multiply(data, scale, dtype=np.float32).view(np.complex64)
+    np.multiply(data, scale, out=out.view(np.float32), dtype=np.float32)
+    return out
 
 
 def write_sc8(path: str | Path, samples: np.ndarray, full_scale: float = 1.0) -> None:

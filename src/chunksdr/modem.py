@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from importlib import resources
 from math import gcd
 
 import numpy as np
@@ -68,10 +69,27 @@ class Preamble:
 def _preamble_cached(n_symbols: int, seed: int) -> Preamble:
     # QPSK-valued pseudo-random sequence: flat correlation sidelobes, and its
     # points sit on the 8PSK grid so preamble symbols slice like payload.
-    rng = np.random.default_rng(seed)
-    quad = rng.integers(0, 4, size=n_symbols)
+    quad = _preamble_quadrants(n_symbols, seed)
     symbols = np.exp(1j * (np.pi / 4 + np.pi / 2 * quad)).astype(np.complex64)
     return Preamble(symbols=symbols, seed=seed)
+
+
+def _preamble_quadrants(n_symbols: int, seed: int) -> np.ndarray:
+    """``default_rng(seed).integers(0, 4, size=n_symbols)``, read from the
+    shipped table when it covers the seed and length, so building a receiver
+    for a shipped profile imports no numpy.random."""
+    quads = _preamble_table().get(seed, "")
+    if n_symbols <= len(quads):
+        return np.fromiter(map(int, quads[:n_symbols]), np.int64, count=n_symbols)
+    return np.random.default_rng(seed).integers(0, 4, size=n_symbols)
+
+
+@lru_cache(maxsize=1)
+def _preamble_table() -> dict[int, str]:
+    """Seed -> quadrant digits, from data/preambles.table (tools/gen_preamble.py)."""
+    text = resources.files("chunksdr.data").joinpath("preambles.table").read_text()
+    rows = (line.split() for line in text.splitlines() if line and not line.startswith("#"))
+    return {int(seed): quads for seed, quads in rows}
 
 
 @lru_cache(maxsize=16)

@@ -1,5 +1,7 @@
 """Packetization, chunk assembly, transports, and file formats."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +125,36 @@ class TestAssembly:
         chunks1, _ = subscribe_and_assemble(packets, paper2, 1)
         overlap = paper2.chunk.overlap_samples
         np.testing.assert_array_equal(chunks0[0].samples[-overlap:], chunks1[0].samples[:overlap])
+
+    def test_assembled_chunk_pickles_at_wire_size(self, desk_plan):
+        """A chunk crosses to a process worker as its 8-bit I/Q: at most 2
+        bytes per sample plus 1 kB, not complex64's 8."""
+        plan = make_numerology(*desk_profile(), servers=1)
+        packets = packetize(np.zeros(plan.chunk.chunk_samples, np.complex64), plan).packets
+        (chunk,), _ = subscribe_and_assemble(packets, plan, 0)
+        assert len(chunk.samples) == plan.chunk.chunk_samples
+        assert len(pickle.dumps(chunk)) <= 2 * plan.chunk.chunk_samples + 1024
+
+    @pytest.mark.parametrize("plan_name", ["desk", "paper2"])
+    @pytest.mark.parametrize("full_scale", [1.0, 0.3])
+    def test_assembled_samples_dequantize_to_joined_payloads(self, paper2, plan_name, full_scale):
+        """Dequantized, an assembled chunk is its packets' joined payloads
+        dequantized: the samples the feeder used to hand out."""
+        plan = paper2 if plan_name == "paper2" else make_numerology(*desk_profile(), servers=1)
+        n = plan.chunk.packets_per_chunk * plan.packet.samples_per_packet
+        rng = np.random.default_rng(5)
+        iq = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.complex64) * 0.2
+        packets = packetize(iq, plan, full_scale=full_scale).packets
+        (chunk,), _ = subscribe_and_assemble(packets, plan, 0, full_scale=full_scale)
+        joined = b"".join(p.payload for p in packets)
+        want = iqfile.dequantize_int8(joined, full_scale)
+        assert chunk.samples.dtype == iqfile.SC8 and chunk.full_scale == full_scale
+        for got in (
+            iqfile.dequantize_int8(chunk.samples, chunk.full_scale),
+            iqfile.dequantize_int8(chunk.samples, chunk.full_scale, out=np.empty(n, np.complex64)),
+        ):
+            assert got.dtype == np.complex64
+            assert got.tobytes() == want.tobytes()
 
     def test_out_of_range_server(self, paper2):
         with pytest.raises(ValueError):

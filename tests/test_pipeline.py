@@ -6,9 +6,10 @@ import pytest
 from chunksdr.channel import ChannelConfig, apply as chan_apply
 from chunksdr.demod import DemodTables, demod_chunk
 from chunksdr.demod.filters import resample_matched_filter, rx_taps
-from chunksdr.distributor import ChunkRecord
+from chunksdr.distributor import ChunkRecord, assemble_chunks, packetize
 from chunksdr.errors import ChunkTooShort
 from chunksdr.fec import decode_batch
+from chunksdr.iqfile import SC8, dequantize_int8
 from chunksdr.modem import generate_stream
 from chunksdr.runtime import ReceiverContext, RunStats, process_chunk
 
@@ -28,6 +29,30 @@ class TestResampler:
     def test_chunk_too_short(self, desk_plan):
         with pytest.raises(ChunkTooShort):
             resample_matched_filter(np.zeros(40, np.complex64), rx_taps(desk_plan.profile))
+
+
+class TestWireChunks:
+    @pytest.mark.parametrize("full_scale", [1.0, 4.0])
+    def test_int8_chunk_demods_as_its_complex64_twin(self, desk_ctx, full_scale):
+        """A chunk as the assembler hands it out (8-bit I/Q) and the same
+        samples dequantized up front give identical frames and LLRs."""
+        plan = desk_ctx.plan
+        stream = generate_stream(plan.profile, desk_ctx.codec, 40, seed=7)
+        rx = chan_apply(stream.samples, ChannelConfig.for_profile(plan.profile, esn0_db=12.0, seed=8))
+        packets = packetize(rx, plan, full_scale=full_scale).packets
+        chunks, _ = assemble_chunks([packets], plan, full_scale=full_scale)
+        wire = chunks[1]
+        assert wire.samples.dtype == SC8 and wire.full_scale == full_scale
+        twin = ChunkRecord(wire.first_sample_number, dequantize_int8(wire.samples, full_scale))
+        a = demod_chunk(wire, desk_ctx.tables)
+        b = demod_chunk(twin, desk_ctx.tables)
+        assert a.frames, "no frames recovered"
+        assert [f.start_sample_number for f in a.frames] == [
+            f.start_sample_number for f in b.frames
+        ]
+        for fa, fb in zip(a.frames, b.frames):
+            np.testing.assert_array_equal(fa.llrs, fb.llrs)
+        assert (a.peak_ratio, a.noise_var) == (b.peak_ratio, b.noise_var)
 
 
 class TestChunkIndependence:
