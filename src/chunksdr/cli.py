@@ -86,7 +86,7 @@ def cmd_demod(args) -> int:
     plan = ctx.plan
     samples = iqfile.read_cf32(args.input)
     packed = packetize(samples, plan, full_scale=args.full_scale)
-    chunks, _ = assemble_chunks(
+    chunks, assembly = assemble_chunks(
         [packed.packets] * plan.distribution.num_servers, plan, args.full_scale
     )
     result = run_pipeline(chunks, ctx, workers=args.workers)
@@ -96,7 +96,10 @@ def cmd_demod(args) -> int:
     stats = result.stats
     print(
         f"demodulated {stats.chunks_in} chunks -> {stats.frames_out} blocks "
-        f"({stats.decode_failures} failed) to {args.output}"
+        f"({stats.decode_failures} failed) to {args.output}; "
+        f"dropped_chunks={assembly.chunks_dropped} partial_chunks={assembly.chunks_partial} "
+        f"missing_packets={assembly.packets_missing} "
+        f"words_lost_to_erasures={stats.words_lost_to_erasures}"
     )
     return 0
 
@@ -162,7 +165,8 @@ def cmd_e2e(args) -> int:
         print(
             f"BER={s['ber']:.3g} frames={s['frames_recovered']}/{s['frames']} "
             f"duplicates={s['duplicates']} dropped_chunks={s['chunks_dropped']} "
-            f"in {s['seconds']}s"
+            f"partial_chunks={s['chunks_partial']} missing_packets={s['packets_missing']} "
+            f"words_lost_to_erasures={s['words_lost_to_erasures']} in {s['seconds']}s"
         )
     return 0 if result.bits_compared else 1
 

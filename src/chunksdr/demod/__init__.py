@@ -17,7 +17,7 @@ from ..errors import NoPeak
 from ..iqfile import SC8, dequantize_int8
 from ..modem import Preamble
 from ..numerology import WaveformProfile
-from .filters import DOWN, UP, resample_matched_filter, rx_taps
+from .filters import DOWN, UP, outputs_touched, resample_matched_filter, rx_taps
 from .framesync import frame_sync
 from .interp import lagrange_bank
 from .phase import PhaseLoopState, track_phase_two_pass
@@ -61,6 +61,7 @@ class ChunkDemodResult:
     peak_ratio: float = 0.0
     noise_var: float = 0.0
     stage_seconds: dict = field(default_factory=dict)
+    words_lost_to_erasures: int = 0  # set by the FEC stage
 
 
 # Zero samples prepended before resampling so a frame starting on the chunk's
@@ -71,7 +72,6 @@ HEAD_PAD_SAMPLES = 16
 # edges: tracked with frozen loops, excluded from backward warmup.
 HEAD_GUARD_RESAMPLED = 40
 HEAD_GUARD_SYMBOLS = 24
-
 
 def demod_chunk(
     chunk,
@@ -84,6 +84,16 @@ def demod_chunk(
     buffer; other samples are converted to complex64.  `taps` is an optional
     monitor tap set; when absent the probe cost is a single None check per
     stage.
+
+    A chunk's erased spans (``chunk.erased``, zero-filled lost packets) are
+    mapped onto the resampled grid through the filter's support and onto the
+    symbol grid through the interpolator window.  The timing and phase loops
+    coast over every block that touches them, as they do over the head
+    guard; erased preamble symbols leave the rotation and noise estimates;
+    erased payload symbols get LLR 0, and their frames carry the erased LLR
+    positions so the decoder can tell a word it determined from one it did
+    not.  A chunk without erased spans takes exactly the path it would
+    without this mapping.
     """
     profile = tables.profile
     stage_t: dict[str, float] = {}
@@ -98,6 +108,10 @@ def demod_chunk(
     else:
         padded[HEAD_PAD_SAMPLES:] = samples
     resampled = resample_matched_filter(padded, tables.rx_taps)
+    held = None
+    if chunk.erased:
+        spans = [(a + HEAD_PAD_SAMPLES, b + HEAD_PAD_SAMPLES) for a, b in chunk.erased]
+        held = outputs_touched(spans, resampled.size)
     t1 = time.perf_counter()
     stage_t["resample"] = t1 - t0
     if taps is not None:
@@ -106,8 +120,9 @@ def demod_chunk(
     warmup = min(2 * profile.warmup_symbols, resampled.size // 2)
     tstate = TimingLoopState.for_bandwidth(profile.timing_loop_bw)
     tracked = track_symbols_two_pass(
-        resampled, tstate, warmup=warmup, head_guard=HEAD_GUARD_RESAMPLED
+        resampled, tstate, warmup=warmup, head_guard=HEAD_GUARD_RESAMPLED, hold=held
     )
+    erased = tracked.held
     t2 = time.perf_counter()
     stage_t["timing"] = t2 - t1
     if taps is not None:
@@ -116,7 +131,7 @@ def demod_chunk(
     pstate = PhaseLoopState.for_bandwidth(profile.phase_loop_bw)
     warmup_ph = min(profile.warmup_symbols, tracked.symbols.size // 2)
     derotated = track_phase_two_pass(
-        tracked.symbols, pstate, warmup_ph, head_guard=HEAD_GUARD_SYMBOLS
+        tracked.symbols, pstate, warmup_ph, head_guard=HEAD_GUARD_SYMBOLS, hold=erased
     )
     t3 = time.perf_counter()
     stage_t["phase"] = t3 - t2
@@ -124,7 +139,7 @@ def demod_chunk(
         taps.offer("phase", derotated)
 
     try:
-        sync = frame_sync(derotated, tables.preamble, profile.frame_symbols)
+        sync = frame_sync(derotated, tables.preamble, profile.frame_symbols, erased=erased)
     except NoPeak:
         stage_t["framesync"] = time.perf_counter() - t3
         return ChunkDemodResult(
@@ -147,6 +162,7 @@ def demod_chunk(
     rotation = np.exp(-1j * sync.rotation).astype(np.complex64)
     frames: list[SoftFrame] = []
     frame_samples = profile.frame_samples
+    n_pre = tables.preamble.symbols.size
     chunk_first = chunk.first_sample_number
     chunk_end = chunk_first + samples.size
     for i, start_sym in enumerate(sync.frame_starts):
@@ -162,6 +178,9 @@ def demod_chunk(
                 start_sample_number=start,
                 expected_symbols=profile.payload_symbols,
                 columns=profile.bits_per_symbol,
+                erased=None if erased is None else erased[
+                    start_sym + n_pre : start_sym + profile.frame_symbols
+                ],
             )
         )
     t5 = time.perf_counter()

@@ -36,3 +36,19 @@ def resample_matched_filter(samples: np.ndarray, taps: np.ndarray) -> np.ndarray
     full = upfirdn(taps, samples, up=UP, down=DOWN)
     n_out = samples.size * UP // DOWN
     return full[_EDGE : _EDGE + n_out].astype(np.complex64)
+
+
+def outputs_touched(spans, n_out: int) -> np.ndarray:
+    """Mask of the resampler outputs whose filter support reaches into any
+    of the input spans ((start, end) indices into the resampler's input).
+
+    Output n reads the inputs s with |5s - 4n| <= 40: the 81 taps at the
+    upsampled rate, centred by the filter delay.
+    """
+    reach = (RRC_TAPS - 1) // 2
+    out = np.zeros(n_out, dtype=bool)
+    for start, end in spans:
+        lo = -((reach - UP * start) // DOWN)  # ceil((5 start - 40) / 4)
+        hi = (UP * (end - 1) + reach) // DOWN + 1
+        out[max(lo, 0) : max(min(hi, n_out), 0)] = True
+    return out

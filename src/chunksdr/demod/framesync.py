@@ -63,8 +63,14 @@ def frame_sync(
     preamble: Preamble,
     frame_symbols: int,
     threshold: float = PEAK_RATIO_THRESHOLD,
+    erased: np.ndarray | None = None,
 ) -> SyncResult:
-    """Locate and extract all complete frames in a tracked symbol stream."""
+    """Locate and extract all complete frames in a tracked symbol stream.
+
+    `erased` optionally marks symbols that carry no signal (a lost packet);
+    preamble symbols among them are left out of the rotation and noise
+    estimates.
+    """
     symbols = np.ascontiguousarray(symbols, dtype=np.complex64)
     if symbols.size < 2 * frame_symbols:
         raise NoPeak(f"{symbols.size} symbols, need at least two frames")
@@ -86,10 +92,17 @@ def frame_sync(
     # Common rotation of the whole chunk (resolves the slicer's pi/4 lock
     # ambiguity) and a per-symbol noise variance estimate, both from the
     # known preamble symbols.
-    ref = np.vdot(np.tile(preamble.symbols, n_frames), rx_pre.reshape(-1))
+    known = np.tile(preamble.symbols, n_frames)
+    rx_known = rx_pre.reshape(-1)
+    if erased is not None:
+        span = erased[offset : offset + n_frames * frame_symbols]
+        keep = ~span.reshape(n_frames, frame_symbols)[:, :n_pre].reshape(-1)
+        if keep.any():
+            known, rx_known = known[keep], rx_known[keep]
+    ref = np.vdot(known, rx_known)
     rotation = float(np.angle(ref))
-    derot = rx_pre.reshape(-1) * np.exp(-1j * rotation)
-    noise_var = float(np.mean(np.abs(derot - np.tile(preamble.symbols, n_frames)) ** 2))
+    derot = rx_known * np.exp(-1j * rotation)
+    noise_var = float(np.mean(np.abs(derot - known) ** 2))
     return SyncResult(
         offset=offset,
         frame_starts=starts,

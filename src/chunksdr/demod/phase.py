@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..modem import GRAY_LABELS
-from .timing import loop_gains
+from .timing import freeze_table, loop_gains, touching
 
 PHASE_BLOCK = 8
 _POINTS = np.exp(1j * np.pi / 4 * np.arange(8)).astype(np.complex64)
@@ -93,10 +93,17 @@ def _run_pass(
     kp: float,
     ki: float,
     collect: bool,
-    freeze_below: int = 0,
+    freeze: int | np.ndarray = 0,
     freq_limit: float = FREQ_LIMIT,
 ):
+    """One directional pass; x is already oriented in processing order.
+
+    A block starting at symbol index i where the boolean mask `freeze` is
+    set (an int n stands for the first n indices) is derotated on the
+    running ramp but does not update the loop.
+    """
     n_blocks = x.size // PHASE_BLOCK
+    frozen = freeze_table(freeze, x.size)
     blocks = x[: n_blocks * PHASE_BLOCK].reshape(n_blocks, PHASE_BLOCK)
     wide = blocks.astype(np.complex128)
     power = np.mean(wide.real**2 + wide.imag**2, axis=1) + 1e-30
@@ -112,7 +119,7 @@ def _run_pass(
         if collect:
             thetas.append(theta)
             freqs.append(freq)
-        if b * PHASE_BLOCK < freeze_below:
+        if frozen[b * PHASE_BLOCK]:
             theta = _wrap(theta + freq * PHASE_BLOCK)
             continue
         # remainder() leaves the residual to the nearest point, ties to even
@@ -145,26 +152,36 @@ def track_phase_two_pass(
     state: PhaseLoopState,
     warmup_symbols: int,
     head_guard: int = 0,
+    hold: np.ndarray | None = None,
 ) -> np.ndarray:
     """Derotate a symbol stream; backward warmup then full forward pass.
 
     `head_guard` symbols at the front are excluded from the backward pass and
     derotated with frozen loop state on the forward pass (chunk-edge junk).
+    `hold` optionally marks symbols the loop must not learn from (erased
+    ones); blocks holding any of them coast on the loop's frequency in both
+    passes.
     """
     x = np.ascontiguousarray(symbols, dtype=np.complex64)
     warmup = min(warmup_symbols, x.size)
     theta, freq = state.theta, state.freq
     if warmup > head_guard + 2 * PHASE_BLOCK:
+        freeze = 0
+        if hold is not None:
+            freeze = touching(hold[head_guard:warmup][::-1], 0, PHASE_BLOCK)
         theta, freq, _ = _run_pass(
             x[head_guard:warmup][::-1], theta, -freq, state.kp, state.ki,
-            collect=False, freq_limit=state.freq_limit,
+            False, freeze, freq_limit=state.freq_limit,
         )
         freq = -freq  # second-order term flips with processing direction
         # theta converged at the guard boundary; rewind the ramp to symbol 0
         theta = _wrap(theta - freq * head_guard)
+    freeze = head_guard
+    if hold is not None:
+        freeze = touching(hold, 0, PHASE_BLOCK)
+        freeze[:head_guard] = True
     theta, freq, out = _run_pass(
-        x, theta, freq, state.kp, state.ki, collect=True, freeze_below=head_guard,
-        freq_limit=state.freq_limit,
+        x, theta, freq, state.kp, state.ki, True, freeze, freq_limit=state.freq_limit,
     )
     state.theta = theta
     state.freq = freq

@@ -28,6 +28,7 @@ class SoftFrame:
 
     start_sample_number: int
     llrs: np.ndarray  # float32, payload_symbols * 3, deinterleaved
+    erased: np.ndarray | None = None  # bool per LLR, deinterleaved; None: no erasure
 
 
 def llr_map(symbols: np.ndarray, noise_var: float) -> np.ndarray:
@@ -50,15 +51,26 @@ def llr_map_deinterleave(
     start_sample_number: int = 0,
     expected_symbols: int | None = None,
     columns: int = 3,
+    erased: np.ndarray | None = None,
 ) -> SoftFrame:
-    """LLRs for one frame's payload, deinterleaved into codeword order."""
+    """LLRs for one frame's payload, deinterleaved into codeword order.
+
+    Symbols marked in the optional `erased` mask carry no information: their
+    LLRs are 0, and the frame keeps the erased LLR positions in codeword
+    order for the decoder.
+    """
     payload_symbols = np.asarray(payload_symbols)
     if expected_symbols is not None and payload_symbols.size != expected_symbols:
         raise LengthMismatch(
             f"{payload_symbols.size} payload symbols, expected {expected_symbols}"
         )
-    llrs = llr_map(payload_symbols, noise_var).reshape(-1)
+    llrs = llr_map(payload_symbols, noise_var)
+    erased_bits = None
+    if erased is not None and erased.any():
+        llrs[erased] = 0.0
+        erased_bits = deinterleave(np.repeat(erased, llrs.shape[1]), columns)
     return SoftFrame(
         start_sample_number=start_sample_number,
-        llrs=deinterleave(llrs, columns).astype(np.float32),
+        llrs=deinterleave(llrs.reshape(-1), columns).astype(np.float32),
+        erased=erased_bits,
     )

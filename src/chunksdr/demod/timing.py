@@ -97,6 +97,7 @@ class TrackedSymbols:
     consumed_samples: int  # inputs covered by the forward pass
     skips: int
     repeats: int
+    held: np.ndarray | None = None  # symbols whose window reads a held input; None: no hold
 
 
 class _PassResult:
@@ -134,14 +135,15 @@ def _run_pass(
     kp: float,
     ki: float,
     collect: bool,
-    freeze_below: int = 0,
+    freeze: int | np.ndarray = 0,
     rate_limit: float = RATE_LIMIT,
 ):
     """One directional pass; x is already oriented in processing order.
 
-    Blocks starting below `freeze_below` are interpolated and emitted but do
-    not update the loop (the chunk head's filter-edge samples would poison
-    the converged state).
+    A block starting at input index q where the boolean mask `freeze` is set
+    (an int n stands for the first n indices) is interpolated and emitted
+    but does not update the loop: the chunk head's filter-edge samples, or
+    the edges of an erased span, would poison the converged state.
     """
     wide = x.astype(np.complex128)
     rows = sliding_window_view(wide.view(np.float64), _ROW)
@@ -158,6 +160,7 @@ def _run_pass(
     qs: list[int] = []
     taus: list[float] = []
     fis: list[int] = []
+    frozen = freeze_table(freeze, x.size)
 
     while q >= _WIN_LEFT and q - _WIN_LEFT + BLOCK_OUT <= n_rows:
         fi = int(tau * N_FILTERS + 0.5)
@@ -169,7 +172,7 @@ def _run_pass(
             fis.append(fi)
         start = 2 * (q - _WIN_LEFT)
         np.dot(rows[start : start + 2 * BLOCK_OUT], bank[fi], out=y)
-        if q >= freeze_below:
+        if not frozen[q]:
             power = float(np.dot(y, y)) / BLOCK_OUT + 1e-30
             err = gardner_ted(early, ontime, late) / ((BLOCK_OUT // 2) * power)
             rate += ki * err
@@ -203,11 +206,33 @@ def _run_pass(
     return result, symbols.astype(np.complex64).ravel(), positions.ravel()
 
 
+def freeze_table(freeze: int | np.ndarray, n: int) -> bytes:
+    """One byte per input index, nonzero where a block starting there is
+    frozen; the loops index it once per block."""
+    if isinstance(freeze, int):
+        head = min(freeze, n)
+        return b"\x01" * head + bytes(n - head)
+    return np.asarray(freeze, dtype=bool).tobytes()
+
+
+def touching(held: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Mask of the indices q whose span [q - before, q + after) holds a set
+    entry of `held`."""
+    c = np.concatenate([[0], np.cumsum(held, dtype=np.int64)])
+    q = np.arange(held.size)
+    return c[np.minimum(q + after, held.size)] > c[np.maximum(q - before, 0)]
+
+
+# inputs a block starting at q reads: [q - 3, q + BLOCK_OUT + FLUSH - 4)
+_READ_BEFORE, _READ_AFTER = _WIN_LEFT, BLOCK_OUT + FLUSH - _WIN_LEFT - 1
+
+
 def track_symbols_two_pass(
     samples: np.ndarray,
     state: TimingLoopState,
     warmup: int,
     head_guard: int = 0,
+    hold: np.ndarray | None = None,
 ) -> TrackedSymbols:
     """Backward warmup pass, then a forward pass over the whole input.
 
@@ -218,6 +243,10 @@ def track_symbols_two_pass(
     the fractional delay while the proportional path is untouched.
     `head_guard` excludes that many leading samples (chunk-edge junk) from
     the backward pass and freezes loop updates over them going forward.
+    `hold` optionally marks input samples the loop must not learn from (an
+    erased span and its filter tails); blocks reading any of them coast on
+    the loop's rate in both passes, and the symbols interpolated from any
+    of them are marked in the result's `held`.
     """
     x = np.ascontiguousarray(samples)
     if warmup > x.size:
@@ -232,8 +261,11 @@ def track_symbols_two_pass(
                 f"warmup {warmup} leaves no samples past the {head_guard} head guard"
             )
         xr = x[head_guard:warmup][::-1]
+        freeze = 0
+        if hold is not None:
+            freeze = touching(hold[head_guard:warmup][::-1], _READ_BEFORE, _READ_AFTER)
         back, _, _ = _run_pass(
-            xr, _WIN_LEFT, tau0, rate0, state.kp, state.ki, collect=False,
+            xr, _WIN_LEFT, tau0, rate0, state.kp, state.ki, False, freeze,
             rate_limit=state.rate_limit,
         )
         # next-output position in reversed coords -> forward coords
@@ -244,10 +276,19 @@ def track_symbols_two_pass(
         tau0 = cf - q0
         rate0 = -back.rate
 
+    freeze = head_guard
+    if hold is not None:
+        freeze = touching(hold, _READ_BEFORE, _READ_AFTER)
+        freeze[:head_guard] = True
     fwd, symbols, positions = _run_pass(
-        x, q0, tau0, rate0, state.kp, state.ki, collect=True, freeze_below=head_guard,
+        x, q0, tau0, rate0, state.kp, state.ki, True, freeze,
         rate_limit=state.rate_limit,
     )
+    held = None
+    if hold is not None:
+        # a symbol at position p interpolates inputs [floor(p) - 3, floor(p) + 5)
+        base = np.floor(positions).astype(np.int64)
+        held = touching(hold, _WIN_LEFT, FLUSH - _WIN_LEFT)[base]
     state.filter_index = fwd.tau * N_FILTERS
     state.rate = fwd.rate
     state.skips += fwd.skips
@@ -259,4 +300,5 @@ def track_symbols_two_pass(
         consumed_samples=fwd.q - fwd.q_start,
         skips=fwd.skips,
         repeats=fwd.repeats,
+        held=held,
     )

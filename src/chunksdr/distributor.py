@@ -10,6 +10,10 @@ Wire format: 8-byte little-endian packet number, then the payload
 (interleaved signed 8-bit I/Q, 2 bytes per sample).  The wire format reaches
 the worker: an assembled chunk is its packets' payloads joined, as ``SC8``
 samples plus the full scale, and the worker dequantizes it.
+
+A lost packet costs its own samples, not its chunk: the chunk is handed out
+with the packet's span zero-filled and listed in ``ChunkRecord.erased``, and
+the worker decodes around it.
 """
 
 from __future__ import annotations
@@ -53,11 +57,14 @@ class ChunkRecord:
     as ``iqfile.SC8`` samples, a quarter of the complex64 size, and
     ``full_scale`` is their quantizer scale; the worker dequantizes them.
     Complex64 samples are taken as they are, and ``full_scale`` is unused.
+    ``erased`` lists the ``(start, end)`` sample offsets, relative to the
+    first sample, of lost packets; those samples are zero.
     """
 
     first_sample_number: int
     samples: np.ndarray  # SC8 or complex64
     full_scale: float = 1.0
+    erased: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass
@@ -102,16 +109,31 @@ def dequantize(packet: Packet, full_scale: float = 1.0) -> np.ndarray:
 @dataclass
 class AssemblyStats:
     chunks_emitted: int = 0
-    chunks_dropped: int = 0
+    chunks_dropped: int = 0  # never handed out: not one of their packets arrived
+    chunks_partial: int = 0  # handed out with erased spans
+    packets_missing: int = 0  # packets erased in the partial chunks
     dropped_first_samples: list = field(default_factory=list)
+
+    def add(self, other: "AssemblyStats") -> None:
+        self.chunks_emitted += other.chunks_emitted
+        self.chunks_dropped += other.chunks_dropped
+        self.chunks_partial += other.chunks_partial
+        self.packets_missing += other.packets_missing
+        self.dropped_first_samples.extend(other.dropped_first_samples)
 
 
 class ChunkAssembler:
-    """Collects one server's subscribed packets into complete chunks.
+    """Collects one server's subscribed packets into chunks.
 
     Server ``s`` owns global chunks ``c`` with ``c % S == s``; chunk ``c``
     spans ``packets_per_chunk`` consecutive packets starting at
-    ``c * advance_packets``.  Any missing packet discards the whole chunk.
+    ``c * advance_packets``.  Packets are taken to arrive in order, so a
+    chunk's window closes when its last packet arrives, or, when that packet
+    is lost, at the server's next packet, which on more than one server
+    belongs to its next chunk.  A closed window with missing packets is
+    handed out with their spans zero-filled and listed in ``erased``
+    (counted in ``chunks_partial`` and ``packets_missing``); one with no
+    packet at all is dropped (``chunks_dropped``).
     """
 
     def __init__(self, plan: Numerology, server_id: int, full_scale: float = 1.0):
@@ -135,7 +157,7 @@ class ChunkAssembler:
         )
 
     def push(self, packet: Packet) -> list[ChunkRecord]:
-        """Feed one packet (in delivery order); returns any completed chunks."""
+        """Feed one packet (in delivery order); returns any chunks it closes."""
         plan = self.plan
         out: list[ChunkRecord] = []
         # open windows this packet could start
@@ -146,16 +168,12 @@ class ChunkAssembler:
                 self._next_chunk += plan.distribution.num_servers
             else:
                 break
-        # close windows the stream has moved past
-        while self._pending and packet.packet_number >= self._pending[0].end_packet:
-            win = self._pending.popleft()
-            rec = self._finish(win)
-            if rec is not None:
-                out.append(rec)
         for win in self._pending:
             win.add(packet)
-        # a window might complete exactly on its last packet
-        while self._pending and self._pending[0].complete:
+        # close windows this packet completes, ends or has moved past
+        while self._pending and (
+            self._pending[0].complete or packet.packet_number >= self._pending[0].end_packet - 1
+        ):
             rec = self._finish(self._pending.popleft())
             if rec is not None:
                 out.append(rec)
@@ -175,20 +193,25 @@ class ChunkAssembler:
 
     def _finish(self, win: "_Window") -> ChunkRecord | None:
         first_sample = first_sample_of_packet(win.first_packet, self.plan)
-        if not win.complete:
+        if not win.have:
             self.stats.chunks_dropped += 1
             self.stats.dropped_first_samples.append(first_sample)
             return None
         self.stats.chunks_emitted += 1
+        missing = win.n_packets - win.have
+        if missing:
+            self.stats.chunks_partial += 1
+            self.stats.packets_missing += missing
         return ChunkRecord(
             first_sample_number=first_sample,
             samples=np.frombuffer(win.buffer(), dtype=SC8),
             full_scale=self.full_scale,
+            erased=win.missing_spans(self.plan.packet.samples_per_packet),
         )
 
 
 class _Window:
-    __slots__ = ("chunk_index", "first_packet", "n_packets", "payload_bytes", "_parts", "_have")
+    __slots__ = ("chunk_index", "first_packet", "n_packets", "payload_bytes", "_parts", "have")
 
     def __init__(self, chunk_index: int, first_packet: int, n_packets: int, payload_bytes: int):
         self.chunk_index = chunk_index
@@ -196,7 +219,7 @@ class _Window:
         self.n_packets = n_packets
         self.payload_bytes = payload_bytes
         self._parts: list[bytes | None] = [None] * n_packets
-        self._have = 0
+        self.have = 0
 
     @property
     def end_packet(self) -> int:
@@ -204,16 +227,31 @@ class _Window:
 
     @property
     def complete(self) -> bool:
-        return self._have == self.n_packets
+        return self.have == self.n_packets
 
     def add(self, packet: Packet) -> None:
         i = packet.packet_number - self.first_packet
         if 0 <= i < self.n_packets and self._parts[i] is None:
             self._parts[i] = packet.payload
-            self._have += 1
+            self.have += 1
 
     def buffer(self) -> bytes:
-        return b"".join(self._parts)  # type: ignore[arg-type]
+        """The joined payloads, a missing packet's bytes zero."""
+        zero = bytes(self.payload_bytes)
+        return b"".join(zero if p is None else p for p in self._parts)
+
+    def missing_spans(self, samples_per_packet: int) -> tuple[tuple[int, int], ...]:
+        """Runs of missing packets as (start, end) sample offsets."""
+        spans: list[tuple[int, int]] = []
+        for i, part in enumerate(self._parts):
+            if part is not None:
+                continue
+            start = i * samples_per_packet
+            if spans and spans[-1][1] == start:
+                spans[-1] = (spans[-1][0], start + samples_per_packet)
+            else:
+                spans.append((start, start + samples_per_packet))
+        return tuple(spans)
 
 
 def subscribe_and_assemble(
@@ -235,17 +273,18 @@ def subscribe_and_assemble(
 
 def assemble_chunks(
     per_server_packets, plan: Numerology, full_scale: float = 1.0
-) -> tuple[list[ChunkRecord], int]:
+) -> tuple[list[ChunkRecord], AssemblyStats]:
     """Assemble every server's chunks from its packet stream (one iterable
-    per server); returns them sorted by first sample, and the chunks dropped."""
+    per server); returns them sorted by first sample, and the servers'
+    assembly counters summed."""
     chunks: list[ChunkRecord] = []
-    dropped = 0
+    total = AssemblyStats()
     for server, packets in enumerate(per_server_packets):
         got, stats = subscribe_and_assemble(packets, plan, server, full_scale=full_scale)
         chunks.extend(got)
-        dropped += stats.chunks_dropped
+        total.add(stats)
     chunks.sort(key=lambda c: c.first_sample_number)
-    return chunks, dropped
+    return chunks, total
 
 
 class InProcessTransport:

@@ -30,6 +30,8 @@ class E2EResult:
     bits_compared: int
     duplicates: int
     chunks_dropped: int
+    chunks_partial: int
+    packets_missing: int
     seconds: float
     stats: object
     blocks: list = field(default_factory=list)
@@ -47,6 +49,9 @@ class E2EResult:
             "bits_compared": self.bits_compared,
             "duplicates": self.duplicates,
             "chunks_dropped": self.chunks_dropped,
+            "chunks_partial": self.chunks_partial,
+            "packets_missing": self.packets_missing,
+            "words_lost_to_erasures": self.stats.words_lost_to_erasures,
             "seconds": round(self.seconds, 3),
         }
 
@@ -90,7 +95,7 @@ def run_e2e(
     transport = InProcessTransport(plan, loss_rate=loss_rate, seed=seed + 2)
     for pkt in packed.packets:
         transport.send(pkt)
-    chunks, dropped = assemble_chunks(
+    chunks, assembly = assemble_chunks(
         [transport.drain(s) for s in range(plan.distribution.num_servers)], plan, full_scale
     )
 
@@ -116,7 +121,9 @@ def run_e2e(
         bit_errors=errors,
         bits_compared=compared,
         duplicates=result.stats.combiner.duplicates,
-        chunks_dropped=dropped,
+        chunks_dropped=assembly.chunks_dropped,
+        chunks_partial=assembly.chunks_partial,
+        packets_missing=assembly.packets_missing,
         seconds=elapsed,
         stats=result.stats,
         blocks=result.blocks,

@@ -41,11 +41,25 @@ class CodecDescriptor:
 
 @dataclass
 class DecodedBlock:
-    """Decoder output: info bits keyed by the frame's transmit boundary."""
+    """Decoder output: info bits keyed by the frame's transmit boundary.
+
+    Pickled with the bits packed eight to a byte (a process worker sends its
+    blocks back that way); unpickling restores the uint8-per-bit array.
+    """
 
     start_sample_number: int
-    info_bits: np.ndarray  # uint8
+    info_bits: np.ndarray  # uint8, one 0/1 per bit
     failed: bool = False
+
+    def __reduce__(self):
+        bits = self.info_bits
+        packed = np.packbits(bits).tobytes()
+        return _unpack_block, (self.start_sample_number, packed, bits.size, self.failed)
+
+
+def _unpack_block(start_sample_number: int, packed: bytes, n_bits: int, failed: bool):
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n_bits)
+    return DecodedBlock(start_sample_number, bits, failed)
 
 
 @dataclass
@@ -208,6 +222,10 @@ class PassthroughCodec:
         bits = (llrs < 0).astype(np.uint8)
         return bits, np.ones(llrs.shape[0], dtype=bool), 0
 
+    def resolves(self, erased: np.ndarray) -> bool:
+        """No redundancy: an erased bit is never determined."""
+        return not np.any(erased)
+
 
 class LdpcCodec:
     """Normalized min-sum decoder plus a systematic encoder."""
@@ -335,6 +353,24 @@ class LdpcCodec:
             done[idx_active[ok_now]] = True
         return out_bits, done, iterations
 
+    def resolves(self, erased: np.ndarray) -> bool:
+        """Whether the parity checks determine every erased bit from the rest.
+
+        Peeling on the graph alone: a check with exactly one unknown bit
+        determines it, until no check does.  What is left is a stopping set;
+        under min-sum its bits keep a total LLR of exactly 0, so a decision
+        on them is no decision.
+        """
+        unknown = np.array(erased, dtype=bool)
+        while unknown.any():
+            on_edge = np.append(unknown[self.edge_col], False)[self.row_gather]  # (m, w)
+            rows = np.flatnonzero(np.count_nonzero(on_edge, axis=1) == 1)
+            if not rows.size:
+                return False
+            slots = np.argmax(on_edge[rows], axis=1)
+            unknown[self.edge_col[self.row_gather[rows, slots]]] = False
+        return True
+
     def _syndrome_ok(self, bits: np.ndarray) -> np.ndarray:
         bits = np.atleast_2d(bits)
         edge_bits = np.concatenate(
@@ -368,7 +404,11 @@ def decode_batch(
     early_termination: bool = True,
 ) -> list[DecodedBlock]:
     """Decode up to 16 soft frames; short batches are padded with all-zero
-    codewords (strong bit-0 LLRs) which are suppressed from the output."""
+    codewords (strong bit-0 LLRs) which are suppressed from the output.
+
+    A frame with erased LLRs is reported failed unless its word converged
+    and the code determines every erased bit (`codec.resolves`): all-zero
+    LLRs meet the syndrome at iteration 0, and must not pass for data."""
     if not 1 <= len(frames) <= BATCH_SIZE:
         raise LengthMismatch(f"batch of {len(frames)}, expected 1..{BATCH_SIZE}")
     llrs = np.full((BATCH_SIZE, codec.n), LLR_CLIP, dtype=np.float32)
@@ -381,11 +421,14 @@ def decode_batch(
     bits, ok, _ = codec.decode(llrs, early_termination=early_termination)
     blocks = []
     for i, frame in enumerate(frames):
+        failed = not bool(ok[i])
+        if frame.erased is not None and not failed:
+            failed = not codec.resolves(frame.erased)
         blocks.append(
             DecodedBlock(
                 start_sample_number=frame.start_sample_number,
                 info_bits=bits[i, : codec.k].copy(),
-                failed=not bool(ok[i]),
+                failed=failed,
             )
         )
     return blocks

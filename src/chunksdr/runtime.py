@@ -68,6 +68,7 @@ class RunStats:
     frames_out: int = 0
     decode_failures: int = 0
     extra_frames: int = 0
+    words_lost_to_erasures: int = 0  # failed words that touched an erased span, not emitted
     skips: int = 0
     repeats: int = 0
     stage_seconds: dict = field(default_factory=dict)
@@ -82,6 +83,7 @@ class RunStats:
             self.chunks_ok += 1
         if len(result.frames) > guaranteed:
             self.extra_frames += len(result.frames) - guaranteed
+        self.words_lost_to_erasures += result.words_lost_to_erasures
         self.skips += result.skips
         self.repeats += result.repeats
         self.chunk_seconds.append(elapsed)
@@ -94,13 +96,23 @@ def process_chunk(
     ctx: ReceiverContext,
     taps=None,
 ) -> tuple[list[DecodedBlock], ChunkDemodResult, float]:
-    """The full per-chunk pipeline: demod, then FEC in batches of 16."""
+    """The full per-chunk pipeline: demod, then FEC in batches of 16.
+
+    A failed word that touched an erased span is counted in
+    `words_lost_to_erasures` and not returned: its bits are no decision,
+    and a neighbouring chunk may hold the frame whole, so emitting it would
+    make the combined output depend on which copy arrives first.
+    """
     t0 = time.perf_counter()
     result = demod_chunk(chunk, ctx.tables, taps=taps)
     blocks: list[DecodedBlock] = []
     t1 = time.perf_counter()
     for i in range(0, len(result.frames), BATCH_SIZE):
         blocks.extend(decode_batch(result.frames[i : i + BATCH_SIZE], ctx.codec))
+    if chunk.erased:
+        lost = [b.failed and f.erased is not None for b, f in zip(blocks, result.frames)]
+        result.words_lost_to_erasures = sum(lost)
+        blocks = [b for b, gone in zip(blocks, lost) if not gone]
     t2 = time.perf_counter()
     result.stage_seconds["fec"] = t2 - t1
     return blocks, result, t2 - t0
@@ -125,7 +137,7 @@ def _run_chunk(chunk: ChunkRecord):
     # module reach the workers.  The LLRs stay behind: they would be most of
     # what a process pool pickles back, and only the frame count is used.
     blocks, result, elapsed = process_chunk(chunk, _worker.ctx, taps=_worker.taps)
-    frames = [replace(frame, llrs=None) for frame in result.frames]
+    frames = [replace(frame, llrs=None, erased=None) for frame in result.frames]
     return blocks, replace(result, frames=frames), elapsed
 
 

@@ -114,6 +114,28 @@ class TestJsonOutputs:
         assert out["ber"] == 0.0
         assert out["frames_recovered"] >= 7
 
+    def test_e2e_json_counts_partial_chunks(self, capsys):
+        """A lossy run hands chunks out partial and counts what they lost."""
+        rc = main(["e2e", "--profile", "desk", "--frames", "40", "--servers", "2",
+                   "--loss-rate", "0.01", "--workers", "1", "--seed", "3", "--json"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["chunks_dropped"] == 0
+        assert 0 < out["chunks_partial"] <= out["packets_missing"]
+        assert out["words_lost_to_erasures"] > 0
+        assert out["ber"] == 0.0
+
+    def test_demod_stats_line_counts_assembly(self, tmp_path, capsys):
+        tx = tmp_path / "tx.cf32"
+        assert main(["txgen", "--profile", "desk", "--frames", "24", "-o", str(tx)]) == 0
+        assert main(["demod", "--profile", "desk", "-i", str(tx),
+                     "-o", str(tmp_path / "b.bin")]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.startswith("demodulated ")
+        assert line.endswith(
+            "dropped_chunks=0 partial_chunks=0 missing_packets=0 words_lost_to_erasures=0"
+        )
+
     def test_bench_json_and_files(self, tmp_path, capsys):
         rc = main(["bench", "--profile", "desk", "--workers", "1", "--chunks", "2",
                    "--backend", "thread", "--json",

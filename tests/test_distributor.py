@@ -104,16 +104,54 @@ class TestAssembly:
             assert b.first_sample_number - a.first_sample_number == plan.chunk.advance_samples
             np.testing.assert_array_equal(a.samples[-overlap:], b.samples[:overlap])
 
-    def test_missing_packet_drops_whole_chunk(self, desk_plan):
+    def test_missing_packet_erases_its_span_only(self, desk_plan):
+        """A lost packet zero-fills its span of the chunk, listed as erased;
+        the chunk is handed out once, when its last packet arrives."""
         plan = make_numerology(*desk_profile(), servers=1)
+        spp = plan.packet.samples_per_packet
         n = plan.chunk.advance_packets + plan.chunk.packets_per_chunk
-        packets = packetize(np.zeros(n * 224, np.complex64), plan).packets
-        packets = [p for p in packets if p.packet_number != 5]
-        chunks, stats = subscribe_and_assemble(packets, plan, 0)
-        # chunk 0 (packets 0..135) discarded; chunk 1 assembles normally
-        assert stats.chunks_dropped == 1
-        assert stats.dropped_first_samples == [0]
-        assert [c.first_sample_number for c in chunks] == [plan.chunk.advance_samples]
+        rng = np.random.default_rng(6)
+        iq = (rng.normal(size=n * spp) + 1j * rng.normal(size=n * spp)).astype(np.complex64) * 0.2
+        packets = [p for p in packetize(iq, plan).packets if p.packet_number != 5]
+        asm = ChunkAssembler(plan, 0)
+        closed_on = {}
+        for p in packets:
+            for chunk in asm.push(p):
+                closed_on[chunk.first_sample_number] = (p.packet_number, chunk)
+        for chunk in asm.flush():
+            closed_on[chunk.first_sample_number] = (None, chunk)
+        last = plan.chunk.packets_per_chunk - 1
+        assert closed_on[0][0] == last  # packet 135, not the next chunk's
+        chunk = closed_on[0][1]
+        assert chunk.erased == ((5 * spp, 6 * spp),)
+        want = iqfile.quantize_int8(iq[: plan.chunk.chunk_samples]).view(iqfile.SC8)
+        want[5 * spp : 6 * spp] = np.zeros(1, iqfile.SC8)
+        assert chunk.samples.tobytes() == want.tobytes()
+        assert closed_on[plan.chunk.advance_samples][1].erased == ()
+        assert len(closed_on) == 2
+        assert (asm.stats.chunks_emitted, asm.stats.chunks_dropped) == (2, 0)
+        assert (asm.stats.chunks_partial, asm.stats.packets_missing) == (1, 1)
+        assert asm.stats.dropped_first_samples == []
+
+    def test_lost_last_packet_closes_at_the_next_packet(self, desk_plan):
+        """Without its last packet a window closes at the server's next
+        packet; a window with no packet at all is dropped, never handed out."""
+        plan = load_numerology("desk", servers=2)
+        ppc, adv = plan.chunk.packets_per_chunk, plan.chunk.advance_packets
+        packets = packetize(np.zeros((2 * adv + ppc) * 224, np.complex64), plan).packets
+        transport = InProcessTransport(plan)
+        for p in packets:
+            if p.packet_number != ppc - 1:
+                transport.send(p)
+        asm = ChunkAssembler(plan, 0)
+        closed_on = {}
+        for p in transport.drain(0):
+            for chunk in asm.push(p):
+                closed_on[chunk.first_sample_number] = p.packet_number
+        assert closed_on == {0: 2 * adv, 2 * adv * 224: 2 * adv + ppc - 1}
+        empty = ChunkAssembler(plan, 0)
+        assert empty.push(packets[2 * adv]) == []  # chunk 0 got nothing
+        assert (empty.stats.chunks_dropped, empty.stats.dropped_first_samples) == (1, [0])
 
     def test_overlap_bytes_identical_across_servers(self, paper2):
         """Shared groups deliver byte-identical samples to both subscribers."""

@@ -1,5 +1,6 @@
 """FEC: alist loading, encoder, min-sum decoder, batch contract."""
 
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from chunksdr.demod.softbits import SoftFrame
 from chunksdr.errors import DimensionMismatch, LengthMismatch, ParseError
 from chunksdr.fec import (
     BATCH_SIZE,
+    DecodedBlock,
     LdpcCodec,
     PassthroughCodec,
     decode_batch,
@@ -305,6 +307,75 @@ class TestDecodeBatch:
             decode_batch([frame] * 17, toy96)
         with pytest.raises(LengthMismatch):
             decode_batch([], toy96)
+
+
+class TestErasedBits:
+    """Words with erased LLRs (a lost packet's symbols) are emitted only
+    when the code determines the erased bits."""
+
+    def test_peeling_resolves_what_a_stopping_set_does_not(self, toy96, desk_code):
+        rng = np.random.default_rng(10)
+        for code in (toy96, desk_code):
+            assert code.resolves(np.zeros(code.n, bool))
+            single = np.zeros(code.n, bool)
+            single[rng.integers(code.n)] = True
+            assert code.resolves(single)
+            assert not code.resolves(np.ones(code.n, bool))
+            # a codeword's support is a stopping set
+            cw = code.encode(rng.integers(0, 2, code.k, dtype=np.uint8))
+            assert not code.resolves(cw.astype(bool))
+
+    def test_all_erased_word_is_not_a_decode(self, toy96):
+        """All-zero LLRs meet the syndrome at iteration 0 as the all-zero
+        codeword; with the bits marked erased the word fails."""
+        llrs = np.zeros(toy96.n, np.float32)
+        assert bool(toy96.decode(llrs[None])[1][0])
+        (plain,) = decode_batch([SoftFrame(0, llrs)], toy96)
+        (erased,) = decode_batch([SoftFrame(0, llrs, erased=np.ones(toy96.n, bool))], toy96)
+        assert not plain.failed and erased.failed
+
+    def test_determined_erasures_decode(self, desk_code):
+        rng = np.random.default_rng(11)
+        info = rng.integers(0, 2, desk_code.k, dtype=np.uint8)
+        llrs = (1.0 - 2.0 * desk_code.encode(info)).astype(np.float32) * 8
+        erased = np.zeros(desk_code.n, bool)
+        erased[rng.choice(desk_code.n, 30, replace=False)] = True
+        assert desk_code.resolves(erased)
+        llrs[erased] = 0.0
+        (block,) = decode_batch([SoftFrame(0, llrs, erased=erased)], desk_code)
+        assert not block.failed
+        np.testing.assert_array_equal(block.info_bits, info)
+
+    def test_passthrough_never_determines_an_erased_bit(self):
+        code = PassthroughCodec(12)
+        erased = np.zeros(12, bool)
+        assert code.resolves(erased)
+        erased[3] = True
+        assert not code.resolves(erased)
+        (block,) = decode_batch([SoftFrame(0, np.ones(12, np.float32), erased=erased)], code)
+        assert block.failed
+
+
+class TestBlockPickle:
+    @pytest.mark.parametrize("n_bits", [0, 1, 13, 1530])
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_round_trip(self, n_bits, failed):
+        bits = np.random.default_rng(n_bits).integers(0, 2, n_bits, dtype=np.uint8)
+        back = pickle.loads(pickle.dumps(DecodedBlock(3360, bits, failed)))
+        assert (back.start_sample_number, back.failed) == (3360, failed)
+        assert back.info_bits.dtype == np.uint8 and back.info_bits.shape == (n_bits,)
+        np.testing.assert_array_equal(back.info_bits, bits)
+
+    def test_desk_chunk_blocks_pickle_packed(self, desk_ctx):
+        """A desk chunk's 17 blocks cross the process boundary in at most a
+        sixth of the bytes their uint8-per-bit fields take."""
+        from chunksdr.runtime import make_bench_corpus, process_chunk
+
+        (chunk,) = make_bench_corpus(desk_ctx, 1, seed=0)
+        blocks, _, _ = process_chunk(chunk, desk_ctx)
+        assert len(blocks) >= 16
+        unpacked = pickle.dumps([dict(vars(b)) for b in blocks])
+        assert len(pickle.dumps(blocks)) <= len(unpacked) / 6
 
 
 class TestRegistry:

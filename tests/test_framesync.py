@@ -131,3 +131,33 @@ class TestCoherentGain:
             single_hits += off_s == 0
         assert coherent_hits >= 0.95 * trials
         assert coherent_hits > single_hits
+
+
+class TestErasedSymbols:
+    def test_erased_preamble_symbols_leave_the_estimates(self, desk_plan):
+        """A zero-filled preamble would read as noise power 1; marked erased,
+        its symbols leave the rotation and noise estimates."""
+        profile = desk_plan.profile
+        rng = np.random.default_rng(9)
+        stream = make_symbol_stream(profile, 6, seed=9) * np.exp(0.3j)
+        noise = 0.05 * (rng.normal(size=stream.size) + 1j * rng.normal(size=stream.size))
+        stream = (stream + noise).astype(np.complex64)
+        preamble = Preamble.for_profile(profile)
+        f = profile.frame_symbols
+        clean = frame_sync(stream, preamble, f)
+        holed = stream.copy()
+        erased = np.zeros(stream.size, bool)
+        erased[2 * f - 10 : 2 * f + 20] = True  # the tail of a payload and frame 2's preamble
+        holed[erased] = 0
+        blind = frame_sync(holed, preamble, f)
+        aware = frame_sync(holed, preamble, f, erased=erased)
+        assert blind.noise_var > 2 * clean.noise_var
+        keep = np.ones(f * 6, bool)
+        keep[2 * f : 2 * f + 20] = False
+        pre = (np.arange(f * 6) % f) < preamble.symbols.size
+        known = np.tile(preamble.symbols, 6)[keep[pre]]
+        rx = stream[pre & keep]
+        rotation = float(np.angle(np.vdot(known, rx)))
+        assert aware.rotation == pytest.approx(rotation, abs=1e-6)
+        want = float(np.mean(np.abs(rx * np.exp(-1j * rotation) - known) ** 2))
+        assert aware.noise_var == pytest.approx(want, rel=1e-5)

@@ -176,8 +176,8 @@ def test_start_cut_below_half_frame_loses_no_frame():
     stream = generate_stream(plan.profile, ctx.codec, 720, seed=0)
     rx = chan_apply(stream.samples, ChannelConfig.for_profile(plan.profile, esn0_db=12.0, seed=0))
     packets = packetize(rx[400:], plan).packets
-    chunks, dropped = assemble_chunks([packets] * plan.distribution.num_servers, plan)
-    assert (len(chunks), dropped) == (42, 0)
+    chunks, assembly = assemble_chunks([packets] * plan.distribution.num_servers, plan)
+    assert (len(chunks), assembly.chunks_dropped) == (42, 0)
     result = run_pipeline(chunks, ctx, workers=2)
     assert result.stats.combiner.gaps == 0
     assert len(result.blocks) == 717
