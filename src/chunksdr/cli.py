@@ -111,7 +111,7 @@ def cmd_stitch(args) -> int:
             blocks.extend(decode_block_stream(f.read()))
     # offline inputs merge by key; the buffer still dedups and logs gaps
     blocks.sort(key=lambda b: b.start_sample_number)
-    buffer = ReorderBuffer(block_spacing=args.block_spacing, capacity=args.capacity) if blocks else None
+    buffer = ReorderBuffer(block_spacing=args.block_spacing) if blocks else None
     emitted = []
     if buffer is not None:
         for block in blocks:
@@ -257,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("inputs", nargs="+", help="block-message files")
     sp.add_argument("-o", "--output", required=True, help="output file or - for stdout")
     sp.add_argument("--block-spacing", type=int, required=True, help="nominal samples per block")
-    sp.add_argument("--capacity", type=int, default=64)
     sp.set_defaults(func=cmd_stitch)
 
     sp = sub.add_parser("e2e", help="full tx -> channel -> distribute -> demod -> stitch loop")

@@ -1,15 +1,16 @@
 """Ordered recombination of decoded blocks ("the stitcher").
 
-Blocks arrive from many workers in nondeterministic order, keyed by the
-absolute sample number of their frame boundary.  The reorder buffer emits in
-ascending key order: the smallest pending block is released once its delta
-from the last emitted block is below 17x the nominal block spacing (a larger
-delta means at least a whole chunk's worth of blocks may still be in
-flight).  The runner may also set a floor: the smallest key that any block
-still to come can have, which is the first sample of the oldest chunk in
-flight, or of the next chunk when none is in flight.  Pending blocks below
-the floor are final, so they are emitted at once, even across a gap (a
-dropped or failed chunk).
+Blocks are keyed by the absolute sample number of their frame boundary.
+The runner submits whole chunks in hand-out order; a standalone caller may
+submit blocks in any order.  The reorder buffer emits in ascending key
+order: the smallest pending block is released once its delta from the last
+emitted block is below 17x the nominal block spacing (a larger delta means
+at least a whole chunk's worth of blocks may still be in flight).  The
+runner may also set a floor: the smallest key that any block still to come
+can have, which is the first sample of the oldest chunk in flight, or of
+the next chunk when none is in flight.  Pending blocks below the floor are
+final, so they are emitted at once, even across a gap (a dropped or failed
+chunk).
 Repeated keys are duplicates from chunk overlap and are dropped; a duplicate
 whose bits differ from the kept block, pending or already emitted, is also
 a conflict.  When the buffer exceeds capacity, the closest non-sequential
@@ -59,10 +60,6 @@ class ReorderBuffer:
         self._last_emitted = -self.block_spacing
         self._recent: OrderedDict[int, np.ndarray] = OrderedDict()  # key -> emitted bits
         self.stats = CombinerStats()
-
-    @property
-    def next_expected(self) -> int:
-        return self._last_emitted + self.block_spacing
 
     def submit(self, block: DecodedBlock) -> list[DecodedBlock]:
         """Insert one block; returns whatever becomes emittable (in order)."""

@@ -62,7 +62,6 @@ def frame_sync(
     symbols: np.ndarray,
     preamble: Preamble,
     frame_symbols: int,
-    threshold: float = PEAK_RATIO_THRESHOLD,
     erased: np.ndarray | None = None,
 ) -> SyncResult:
     """Locate and extract all complete frames in a tracked symbol stream.
@@ -75,8 +74,8 @@ def frame_sync(
     if symbols.size < 2 * frame_symbols:
         raise NoPeak(f"{symbols.size} symbols, need at least two frames")
     offset, ratio = coherent_offset(symbols, preamble, frame_symbols)
-    if ratio < threshold:
-        raise NoPeak(f"peak-to-mean power ratio {ratio:.1f} below {threshold}")
+    if ratio < PEAK_RATIO_THRESHOLD:
+        raise NoPeak(f"peak-to-mean power ratio {ratio:.1f} below {PEAK_RATIO_THRESHOLD}")
 
     n_pre = preamble.symbols.size
     n_frames = (symbols.size - offset) // frame_symbols

@@ -70,7 +70,6 @@ class PhaseLoopState:
     ki: float
     theta: float = 0.0  # radians, wrapped to (-pi, pi]
     freq: float = 0.0  # radians per symbol
-    freq_limit: float = FREQ_LIMIT
 
     @classmethod
     def for_bandwidth(cls, loop_bw_per_symbol: float, **kw) -> "PhaseLoopState":
@@ -94,7 +93,6 @@ def _run_pass(
     ki: float,
     collect: bool,
     freeze: int | np.ndarray = 0,
-    freq_limit: float = FREQ_LIMIT,
 ):
     """One directional pass; x is already oriented in processing order.
 
@@ -130,10 +128,10 @@ def _run_pass(
             e += w * sin(remainder(a - (theta + freq * k), _SECTOR))
         theta = _wrap(theta + freq * PHASE_BLOCK + kp * e)
         freq += ki * e
-        if freq > freq_limit:
-            freq = freq_limit
-        elif freq < -freq_limit:
-            freq = -freq_limit
+        if freq > FREQ_LIMIT:
+            freq = FREQ_LIMIT
+        elif freq < -FREQ_LIMIT:
+            freq = -FREQ_LIMIT
     if not collect:
         return theta, freq, None
     out = np.empty(x.size, dtype=np.complex64)
@@ -170,8 +168,7 @@ def track_phase_two_pass(
         if hold is not None:
             freeze = touching(hold[head_guard:warmup][::-1], 0, PHASE_BLOCK)
         theta, freq, _ = _run_pass(
-            x[head_guard:warmup][::-1], theta, -freq, state.kp, state.ki,
-            False, freeze, freq_limit=state.freq_limit,
+            x[head_guard:warmup][::-1], theta, -freq, state.kp, state.ki, False, freeze
         )
         freq = -freq  # second-order term flips with processing direction
         # theta converged at the guard boundary; rewind the ramp to symbol 0
@@ -180,9 +177,7 @@ def track_phase_two_pass(
     if hold is not None:
         freeze = touching(hold, 0, PHASE_BLOCK)
         freeze[:head_guard] = True
-    theta, freq, out = _run_pass(
-        x, theta, freq, state.kp, state.ki, True, freeze, freq_limit=state.freq_limit,
-    )
+    theta, freq, out = _run_pass(x, theta, freq, state.kp, state.ki, True, freeze)
     state.theta = theta
     state.freq = freq
     return out

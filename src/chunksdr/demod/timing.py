@@ -77,7 +77,6 @@ class TimingLoopState:
     ki: float
     filter_index: float = 0.0  # fractional position in [0, 128)
     rate: float = 0.0  # estimated drift, samples per output sample
-    rate_limit: float = RATE_LIMIT
     skips: int = 0
     repeats: int = 0
 
@@ -136,7 +135,6 @@ def _run_pass(
     ki: float,
     collect: bool,
     freeze: int | np.ndarray = 0,
-    rate_limit: float = RATE_LIMIT,
 ):
     """One directional pass; x is already oriented in processing order.
 
@@ -176,10 +174,10 @@ def _run_pass(
             power = float(np.dot(y, y)) / BLOCK_OUT + 1e-30
             err = gardner_ted(early, ontime, late) / ((BLOCK_OUT // 2) * power)
             rate += ki * err
-            if rate > rate_limit:
-                rate = rate_limit
-            elif rate < -rate_limit:
-                rate = -rate_limit
+            if rate > RATE_LIMIT:
+                rate = RATE_LIMIT
+            elif rate < -RATE_LIMIT:
+                rate = -RATE_LIMIT
             tau += BLOCK_OUT * rate + kp * err
         else:
             tau += BLOCK_OUT * rate
@@ -264,10 +262,7 @@ def track_symbols_two_pass(
         freeze = 0
         if hold is not None:
             freeze = touching(hold[head_guard:warmup][::-1], _READ_BEFORE, _READ_AFTER)
-        back, _, _ = _run_pass(
-            xr, _WIN_LEFT, tau0, rate0, state.kp, state.ki, False, freeze,
-            rate_limit=state.rate_limit,
-        )
+        back, _, _ = _run_pass(xr, _WIN_LEFT, tau0, rate0, state.kp, state.ki, False, freeze)
         # next-output position in reversed coords -> forward coords
         p_rev = back.q + back.tau
         cf = (warmup - 1) - p_rev
@@ -280,10 +275,7 @@ def track_symbols_two_pass(
     if hold is not None:
         freeze = touching(hold, _READ_BEFORE, _READ_AFTER)
         freeze[:head_guard] = True
-    fwd, symbols, positions = _run_pass(
-        x, q0, tau0, rate0, state.kp, state.ki, True, freeze,
-        rate_limit=state.rate_limit,
-    )
+    fwd, symbols, positions = _run_pass(x, q0, tau0, rate0, state.kp, state.ki, True, freeze)
     held = None
     if hold is not None:
         # a symbol at position p interpolates inputs [floor(p) - 3, floor(p) + 5)

@@ -148,10 +148,8 @@ class ChunkAssembler:
 
     def _window_for(self, chunk_index: int) -> "_Window":
         plan = self.plan
-        first_packet = chunk_index * plan.chunk.advance_packets
         return _Window(
-            chunk_index=chunk_index,
-            first_packet=first_packet,
+            first_packet=chunk_index * plan.chunk.advance_packets,
             n_packets=plan.chunk.packets_per_chunk,
             payload_bytes=plan.packet.packet_payload_bytes,
         )
@@ -211,10 +209,9 @@ class ChunkAssembler:
 
 
 class _Window:
-    __slots__ = ("chunk_index", "first_packet", "n_packets", "payload_bytes", "_parts", "have")
+    __slots__ = ("first_packet", "n_packets", "payload_bytes", "_parts", "have")
 
-    def __init__(self, chunk_index: int, first_packet: int, n_packets: int, payload_bytes: int):
-        self.chunk_index = chunk_index
+    def __init__(self, first_packet: int, n_packets: int, payload_bytes: int):
         self.first_packet = first_packet
         self.n_packets = n_packets
         self.payload_bytes = payload_bytes

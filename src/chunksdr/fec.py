@@ -31,14 +31,6 @@ MIN_SUM_NORM = 0.75
 MAX_ITERATIONS = 50
 
 
-@dataclass(frozen=True)
-class CodecDescriptor:
-    name: str
-    n: int
-    k: int
-    batch_size: int = BATCH_SIZE
-
-
 @dataclass
 class DecodedBlock:
     """Decoder output: info bits keyed by the frame's transmit boundary.
@@ -200,16 +192,8 @@ def _split(flat: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
 class PassthroughCodec:
     """n = k identity code: hard decision on the LLR sign."""
 
-    def __init__(self, n: int, name: str = "passthrough"):
-        self.descriptor = CodecDescriptor(name=name, n=n, k=n)
-
-    @property
-    def n(self) -> int:
-        return self.descriptor.n
-
-    @property
-    def k(self) -> int:
-        return self.descriptor.k
+    def __init__(self, n: int):
+        self.n = self.k = n
 
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
         bits = np.asarray(info_bits, dtype=np.uint8)
@@ -230,19 +214,12 @@ class PassthroughCodec:
 class LdpcCodec:
     """Normalized min-sum decoder plus a systematic encoder."""
 
-    def __init__(self, matrix: ParityCheckMatrix, name: str):
+    def __init__(self, matrix: ParityCheckMatrix):
         self.matrix = matrix
-        self.descriptor = CodecDescriptor(name=name, n=matrix.n, k=matrix.n - matrix.m)
+        self.n = matrix.n
+        self.k = matrix.n - matrix.m
         self._build_edges()
         self._encoder: tuple[np.ndarray, np.ndarray | None] | None = None
-
-    @property
-    def n(self) -> int:
-        return self.descriptor.n
-
-    @property
-    def k(self) -> int:
-        return self.descriptor.k
 
     def _build_edges(self) -> None:
         """Edges in row order, plus padded per-row and per-column gather tables."""
@@ -268,7 +245,7 @@ class LdpcCodec:
         """(A, B^-1) for H = [A | B]; B^-1 is None for an accumulator tail,
         which encodes in O(n).  Otherwise B is inverted over GF(2)."""
         mat = self.matrix
-        k, m = self.descriptor.k, mat.m
+        k, m = self.k, mat.m
         dense = mat.to_dense()
         a, b = dense[:, :k], dense[:, k:]
         bidiag = np.tri(m, m, 0, dtype=np.uint8) - np.tri(m, m, -2, dtype=np.uint8)
@@ -440,7 +417,7 @@ _ALIST_CODECS = {"ldpc_96_48", "ldpc_3060_1530"}
 @lru_cache(maxsize=8)
 def _load_packaged(name: str) -> LdpcCodec:
     with resources.as_file(resources.files("chunksdr.data").joinpath(f"{name}.alist")) as p:
-        return LdpcCodec(load_matrix(p), name=name)
+        return LdpcCodec(load_matrix(p))
 
 
 def get_codec(name: str, payload_bits: int | None = None):
@@ -457,5 +434,5 @@ def get_codec(name: str, payload_bits: int | None = None):
             )
         return codec
     if name.endswith(".alist"):
-        return LdpcCodec(load_matrix(name), name=Path(name).stem)
+        return LdpcCodec(load_matrix(name))
     raise ValueError(f"unknown codec {name!r}")

@@ -2,9 +2,10 @@
 
 One runner, `run_pipeline`, hands chunks to a `concurrent.futures` pool of
 threads or forked processes.  Each worker runs the full per-chunk pipeline
-(demod then FEC); as each chunk finishes, its blocks reach the combiner,
-which reorders and deduplicates.  Chunk processing is a pure function, so
-the combined output is identical for any worker count and either backend.
+(demod then FEC).  Chunks finish in any order, but their blocks reach the
+combiner in hand-out order, which drops the overlap duplicates.  Chunk
+processing is a pure function, so the combined output and the combiner's
+counters are identical for any worker count and either backend.
 
 Threads carry live monitor taps, since the monitor serves from this
 process.  Forked processes inherit the context and sidestep the GIL that
@@ -156,6 +157,10 @@ def run_pipeline(
     process backend).  A chunk that raises is counted in `chunk_errors` and
     `chunk_error_types`, and the stream goes on.
 
+    A finished chunk's blocks wait in the runner until every chunk handed
+    out before it has finished; then they reach the combiner in hand-out
+    order, so a lagging worker delays blocks but never loses them.
+
     Chunks are expected in ascending first-sample order on the plan's chunk
     grid (first samples whole multiples of `advance_samples` apart), as the
     assemblers produce them, and a chunk keeps only the frames it fully
@@ -187,50 +192,44 @@ def run_pipeline(
     buffer = ReorderBuffer(block_spacing=ctx.plan.frame_samples)
     ordered: list[DecodedBlock] = []
     slots = threading.Semaphore(workers + _QUEUE_DEPTH)
-    lock = threading.Lock()  # held around `combine` and `stats` updates
-    in_flight: deque[int] = deque()  # handed-out first samples, oldest first
-    done: Counter[int] = Counter()  # finished but not yet at the front
+    lock = threading.Lock()  # held around `commit`, `in_flight` and `stats` updates
+    in_flight: deque[list] = deque()  # [first sample, blocks or None] per hand-out, oldest first
     last_out = None
     ascending = True
 
-    def combine(first: int, blocks: list[DecodedBlock] | None) -> None:
-        """Chunk `first` handed out (blocks None) or finished; holds `lock`."""
-        nonlocal last_out, ascending
-        if blocks is None:
-            ascending = ascending and (last_out is None or first >= max(last_out, buffer.floor))
-            last_out = first
-            in_flight.append(first)
-            blocks = []
-        else:
-            done[first] += 1
-        while in_flight and done[in_flight[0]]:
-            oldest = in_flight.popleft()
-            done[oldest] -= 1
-            if not done[oldest]:
-                del done[oldest]
-        buffer.floor = (in_flight[0] if in_flight else last_out + advance) if ascending else -1
+    def commit() -> None:
+        """Hand the finished chunks at the front to the combiner in hand-out
+        order, after moving the floor; holds `lock`."""
+        blocks: list[DecodedBlock] = []
+        while in_flight and in_flight[0][1] is not None:
+            blocks += in_flight.popleft()[1]
+        buffer.floor = (in_flight[0][0] if in_flight else last_out + advance) if ascending else -1
         ordered.extend(buffer.submit_group(blocks))
 
-    def finished(first: int, future) -> None:
+    def finished(entry: list, future) -> None:
         slots.release()
         with lock:
             if (exc := future.exception()) is None:
-                blocks, result, elapsed = future.result()
+                entry[1], result, elapsed = future.result()
                 stats.absorb(result, elapsed, guaranteed)
             else:  # a bad chunk is a counted event, never a stalled stream
-                blocks = []
+                entry[1] = []
                 stats.chunks_in += 1
                 stats.chunk_errors += 1
                 stats.chunk_error_types[type(exc).__name__] += 1
-            combine(first, blocks)
+            commit()
 
     with pool:
         for chunk in chunks:
             slots.acquire()
+            first = chunk.first_sample_number
+            entry = [first, None]
             with lock:
-                combine(chunk.first_sample_number, None)
-            future = pool.submit(_run_chunk, chunk)
-            future.add_done_callback(partial(finished, chunk.first_sample_number))
+                ascending = ascending and (last_out is None or first >= max(last_out, buffer.floor))
+                last_out = first
+                in_flight.append(entry)
+                commit()
+            pool.submit(_run_chunk, chunk).add_done_callback(partial(finished, entry))
     ordered.extend(buffer.flush())
 
     stats.combiner = buffer.stats
@@ -300,8 +299,9 @@ def default_workers() -> int:
     return max(1, (os.cpu_count() or 2) - 2)
 
 
-def make_bench_corpus(ctx: ReceiverContext, n_chunks: int, seed: int = 0, esn0_db: float = 12.0):
-    """Precompute an in-memory chunk corpus for as-fast-as-consumed feeding."""
+def make_bench_corpus(ctx: ReceiverContext, n_chunks: int, seed: int = 0):
+    """Precompute an in-memory chunk corpus at Es/N0 12 dB for
+    as-fast-as-consumed feeding."""
     from .channel import ChannelConfig, apply as chan_apply
     from .modem import generate_stream
 
@@ -312,7 +312,7 @@ def make_bench_corpus(ctx: ReceiverContext, n_chunks: int, seed: int = 0, esn0_d
     stream = generate_stream(plan.profile, ctx.codec, n_frames, seed=seed)
     rx = chan_apply(
         stream.samples,
-        ChannelConfig.for_profile(plan.profile, esn0_db=esn0_db, seed=seed + 1),
+        ChannelConfig.for_profile(plan.profile, esn0_db=12.0, seed=seed + 1),
     )
     return [
         ChunkRecord(

@@ -79,14 +79,19 @@ class TestReceiverContext:
 
 
 class TestRunPipeline:
-    def test_worker_count_invariance(self, desk_ctx, small_corpus):
-        """1 worker and 8 workers produce the identical combined output."""
-        one = run_pipeline(small_corpus, desk_ctx, workers=1)
-        eight = run_pipeline(small_corpus, desk_ctx, workers=8)
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("n_chunks", [4, 16])
+    def test_worker_count_invariance(self, desk_ctx, n_chunks, backend):
+        """1 worker and 8 workers produce the identical combined output and
+        combiner counters; 16 chunks are more than 8 workers keep in flight."""
+        corpus = make_bench_corpus(desk_ctx, n_chunks=n_chunks, seed=3)
+        one = run_pipeline(corpus, desk_ctx, workers=1)
+        eight = run_pipeline(corpus, desk_ctx, workers=8, backend=backend)
         assert [b.start_sample_number for b in one.blocks] == [
             b.start_sample_number for b in eight.blocks
         ]
         np.testing.assert_array_equal(_bitstream(one.blocks), _bitstream(eight.blocks))
+        assert eight.stats.combiner == one.stats.combiner
 
     def test_lossless_frame_accounting(self, desk_ctx):
         """A lossless desk run recovers every scored frame (the generator
@@ -123,7 +128,37 @@ class TestRunPipeline:
     @pytest.fixture(scope="class")
     def corpus10(self, desk_ctx):
         corpus = make_bench_corpus(desk_ctx, n_chunks=10, seed=3)
-        return corpus, run_pipeline(corpus, desk_ctx, workers=1).blocks
+        return corpus, run_pipeline(corpus, desk_ctx, workers=1)
+
+    def test_lagging_chunk_loses_nothing(self, desk_ctx, corpus10, monkeypatch):
+        """Chunk 2 finishes only after four later chunks have returned: its
+        blocks still reach the output, which equals the 1-worker run."""
+        corpus, one = corpus10
+        lagging = corpus[2].first_sample_number
+        later_done, returned = threading.Event(), []
+        lock = threading.Lock()
+        waited = []
+        process = runtime.process_chunk
+
+        def lagging_process(chunk, *args, **kwargs):
+            if chunk.first_sample_number == lagging:
+                waited.append(later_done.wait(timeout=60))
+            out = process(chunk, *args, **kwargs)
+            if chunk.first_sample_number > lagging:
+                with lock:
+                    returned.append(chunk.first_sample_number)
+                    if len(returned) == 4:
+                        later_done.set()
+            return out
+
+        monkeypatch.setattr(runtime, "process_chunk", lagging_process)
+        two = run_pipeline(corpus, desk_ctx, workers=2)
+        assert waited == [True]
+        assert [b.start_sample_number for b in two.blocks] == [
+            b.start_sample_number for b in one.blocks
+        ]
+        np.testing.assert_array_equal(_bitstream(two.blocks), _bitstream(one.blocks))
+        assert two.stats.combiner == one.stats.combiner
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize(
@@ -140,7 +175,8 @@ class TestRunPipeline:
         self, desk_ctx, corpus10, backend, bad, position, workers, error
     ):
         """A chunk that raises is a counted error; every other chunk decodes."""
-        corpus, clean = corpus10
+        corpus, one = corpus10
+        clean = one.blocks
         chunks = list(corpus)
         chunks.insert(position, ChunkRecord(corpus[position].first_sample_number, bad))
         results = []
