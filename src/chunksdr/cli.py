@@ -16,13 +16,22 @@ import numpy as np
 from . import iqfile
 from .channel import ChannelConfig, apply as chan_apply
 from .combiner import ReorderBuffer, decode_block_stream, encode_block
-from .distributor import UdpMulticastTransport, assemble_chunks, packetize
-from .e2e import DEFAULT_FULL_SCALE, run_e2e
+from .distributor import UdpMulticastTransport, lose_packets, packetize, receive_chunks
+from .e2e import DEFAULT_FULL_SCALE, loss_counters, run_e2e
 from .errors import ChunkSdrError
 from .monitor import MonitorServer, monitor_grab, monitor_ls
 from .numerology import load_numerology
 from .runtime import ReceiverContext, bench, default_workers, run_pipeline
 from .modem import generate_stream
+
+
+def _loss_fields(c: dict) -> str:
+    """`e2e.loss_counters` as the CLI prints them."""
+    return (
+        f"dropped_chunks={c['chunks_dropped']} partial_chunks={c['chunks_partial']} "
+        f"missing_packets={c['packets_missing']} "
+        f"words_lost_to_erasures={c['words_lost_to_erasures']}"
+    )
 
 
 def _parse_addr(text: str) -> tuple[str, int]:
@@ -65,17 +74,13 @@ def cmd_distribute(args) -> int:
     else:
         out = open(args.output, "wb")
         send, close, dest = (lambda pkt: out.write(pkt.to_wire())), out.close, f"to {args.output}"
-    rng = np.random.default_rng(args.seed)
-    sent = 0
+    kept = lose_packets(packed.packets, args.loss_rate, args.seed)
     try:
-        for pkt in packed.packets:
-            if args.loss_rate and rng.random() < args.loss_rate:
-                continue
+        for pkt in kept:
             send(pkt)
-            sent += 1
     finally:
         close()
-    print(f"{'sent' if args.udp else 'wrote'} {sent}/{len(packed.packets)} packets {dest}")
+    print(f"{'sent' if args.udp else 'wrote'} {len(kept)}/{len(packed.packets)} packets {dest}")
     if packed.residual_samples:
         print(f"residual {packed.residual_samples} samples not packetized")
     return 0
@@ -83,12 +88,8 @@ def cmd_distribute(args) -> int:
 
 def cmd_demod(args) -> int:
     ctx = ReceiverContext.build(args.profile, servers=args.servers)
-    plan = ctx.plan
     samples = iqfile.read_cf32(args.input)
-    packed = packetize(samples, plan, full_scale=args.full_scale)
-    chunks, assembly = assemble_chunks(
-        [packed.packets] * plan.distribution.num_servers, plan, args.full_scale
-    )
+    chunks, assembly = receive_chunks(samples, ctx.plan, args.full_scale)
     result = run_pipeline(chunks, ctx, workers=args.workers)
     with open(args.output, "wb") as f:
         for block in result.blocks:
@@ -97,9 +98,7 @@ def cmd_demod(args) -> int:
     print(
         f"demodulated {stats.chunks_in} chunks -> {stats.frames_out} blocks "
         f"({stats.decode_failures} failed) to {args.output}; "
-        f"dropped_chunks={assembly.chunks_dropped} partial_chunks={assembly.chunks_partial} "
-        f"missing_packets={assembly.packets_missing} "
-        f"words_lost_to_erasures={stats.words_lost_to_erasures}"
+        f"{_loss_fields(loss_counters(assembly, stats))}"
     )
     return 0
 
@@ -164,9 +163,7 @@ def cmd_e2e(args) -> int:
         s = result.summary()
         print(
             f"BER={s['ber']:.3g} frames={s['frames_recovered']}/{s['frames']} "
-            f"duplicates={s['duplicates']} dropped_chunks={s['chunks_dropped']} "
-            f"partial_chunks={s['chunks_partial']} missing_packets={s['packets_missing']} "
-            f"words_lost_to_erasures={s['words_lost_to_erasures']} in {s['seconds']}s"
+            f"duplicates={s['duplicates']} {_loss_fields(s)} in {s['seconds']}s"
         )
     return 0 if result.bits_compared else 1
 

@@ -26,10 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LengthMismatch
-from .iqfile import SC8, count_clipped, dequantize_int8, quantize_int8
+from .iqfile import SC8, count_clipped, quantize_int8
 from .numerology import Numerology, first_sample_of_packet, group_of_packet
 
 PACKET_HEADER = struct.Struct("<Q")
+DEFAULT_FULL_SCALE = 4.0  # packetizer full scale of e2e, demod and bench
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,6 @@ def packetize(
         for i in range(n_packets)
     ]
     return PacketizeResult(packets=packets, residual_samples=residual, clipped=clipped)
-
-
-def dequantize(packet: Packet, full_scale: float = 1.0) -> np.ndarray:
-    """Inverse of the packetizer scaling."""
-    return dequantize_int8(packet.payload, full_scale)
 
 
 @dataclass
@@ -282,6 +278,26 @@ def assemble_chunks(
         total.add(stats)
     chunks.sort(key=lambda c: c.first_sample_number)
     return chunks, total
+
+
+def lose_packets(packets: list[Packet], loss_rate: float, seed: int = 0) -> list[Packet]:
+    """The packets left after one uniform draw each, in order, from
+    ``default_rng(seed)``: a draw below ``loss_rate`` loses its packet."""
+    if not loss_rate:
+        return list(packets)
+    draws = np.random.default_rng(seed).random(len(packets))
+    return [p for p, u in zip(packets, draws) if u >= loss_rate]
+
+
+def receive_chunks(
+    samples: np.ndarray, plan: Numerology, full_scale: float,
+    loss_rate: float = 0.0, seed: int = 0,
+) -> tuple[list[ChunkRecord], AssemblyStats]:
+    """The one receive path of e2e, demod and bench: a capture packetized,
+    thinned by ``lose_packets`` and assembled by every server."""
+    packets = packetize(samples, plan, full_scale=full_scale).packets
+    packets = lose_packets(packets, loss_rate, seed)
+    return assemble_chunks([packets] * plan.distribution.num_servers, plan, full_scale)
 
 
 class InProcessTransport:

@@ -1,9 +1,11 @@
 """Full-loop driver: synthesize, impair, distribute, demodulate, recombine.
 
-Used by the `e2e` CLI subcommand and the acceptance suite.  The generated
-stream carries `frames` scored frames plus enough continuation frames that
-the last scored frame is covered by a complete chunk (a real stream is
-continuous; the tail padding stands in for it).
+Used by the `e2e` CLI subcommand and the acceptance suite.  The impaired
+samples reach the workers through `distributor.receive_chunks`, the receive
+path that `demod` and `bench` share.  The generated stream carries `frames`
+scored frames plus enough continuation frames that the last scored frame is
+covered by a complete chunk (a real stream is continuous; the tail padding
+stands in for it).
 """
 
 from __future__ import annotations
@@ -15,11 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelConfig, apply as chan_apply
-from .distributor import InProcessTransport, PacketizeResult, assemble_chunks, packetize
+from .distributor import DEFAULT_FULL_SCALE, AssemblyStats, receive_chunks
 from .modem import TxStream, generate_stream
-from .runtime import PipelineResult, ReceiverContext, run_pipeline
-
-DEFAULT_FULL_SCALE = 4.0
+from .runtime import PipelineResult, ReceiverContext, RunStats, run_pipeline
 
 
 @dataclass
@@ -28,12 +28,9 @@ class E2EResult:
     frames_recovered: int
     bit_errors: int
     bits_compared: int
-    duplicates: int
-    chunks_dropped: int
-    chunks_partial: int
-    packets_missing: int
     seconds: float
-    stats: object
+    stats: RunStats
+    assembly: AssemblyStats
     blocks: list = field(default_factory=list)
 
     @property
@@ -47,13 +44,20 @@ class E2EResult:
             "ber": self.ber,
             "bit_errors": self.bit_errors,
             "bits_compared": self.bits_compared,
-            "duplicates": self.duplicates,
-            "chunks_dropped": self.chunks_dropped,
-            "chunks_partial": self.chunks_partial,
-            "packets_missing": self.packets_missing,
-            "words_lost_to_erasures": self.stats.words_lost_to_erasures,
+            "duplicates": self.stats.combiner.duplicates,
+            **loss_counters(self.assembly, self.stats),
             "seconds": round(self.seconds, 3),
         }
+
+
+def loss_counters(assembly: AssemblyStats, stats: RunStats) -> dict:
+    """What packet loss cost a run, from the receive path and the decoder."""
+    return {
+        "chunks_dropped": assembly.chunks_dropped,
+        "chunks_partial": assembly.chunks_partial,
+        "packets_missing": assembly.packets_missing,
+        "words_lost_to_erasures": stats.words_lost_to_erasures,
+    }
 
 
 def synthesize(ctx: ReceiverContext, frames: int, seed: int) -> TxStream:
@@ -91,13 +95,7 @@ def run_e2e(
     )
     rx = chan_apply(stream.samples, cfg)
 
-    packed: PacketizeResult = packetize(rx, plan, full_scale=full_scale)
-    transport = InProcessTransport(plan, loss_rate=loss_rate, seed=seed + 2)
-    for pkt in packed.packets:
-        transport.send(pkt)
-    chunks, assembly = assemble_chunks(
-        [transport.drain(s) for s in range(plan.distribution.num_servers)], plan, full_scale
-    )
+    chunks, assembly = receive_chunks(rx, plan, full_scale, loss_rate=loss_rate, seed=seed + 2)
 
     result: PipelineResult = run_pipeline(chunks, ctx, workers=workers, taps_factory=taps_factory)
 
@@ -120,11 +118,8 @@ def run_e2e(
         frames_recovered=len(recovered),
         bit_errors=errors,
         bits_compared=compared,
-        duplicates=result.stats.combiner.duplicates,
-        chunks_dropped=assembly.chunks_dropped,
-        chunks_partial=assembly.chunks_partial,
-        packets_missing=assembly.packets_missing,
         seconds=elapsed,
         stats=result.stats,
+        assembly=assembly,
         blocks=result.blocks,
     )

@@ -1,8 +1,9 @@
-"""IQ sample file formats.
+"""IQ sample formats.
 
-``cf32``: interleaved 32-bit float I,Q, little-endian.
-``sc8``: interleaved signed 8-bit I,Q (same quantization as the packetizer).
-``SC8`` is its one-sample dtype, so an sc8 buffer indexes by sample.
+``cf32``: interleaved 32-bit float I,Q, little-endian (``read_cf32``).
+``sc8``: interleaved signed 8-bit I,Q, the packets' wire format, made by
+``quantize_int8`` and read back by ``dequantize_int8``.  ``SC8`` is its
+one-sample dtype, so an sc8 buffer indexes by sample.
 """
 
 from __future__ import annotations
@@ -75,11 +76,3 @@ def dequantize_int8(
         return np.multiply(data, scale, dtype=np.float32).view(np.complex64)
     np.multiply(data, scale, out=out.view(np.float32), dtype=np.float32)
     return out
-
-
-def write_sc8(path: str | Path, samples: np.ndarray, full_scale: float = 1.0) -> None:
-    quantize_int8(samples, full_scale).tofile(path)
-
-
-def read_sc8(path: str | Path, full_scale: float = 1.0) -> np.ndarray:
-    return dequantize_int8(np.fromfile(path, dtype=np.int8), full_scale)

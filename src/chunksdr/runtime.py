@@ -29,7 +29,7 @@ import numpy as np
 
 from .combiner import CombinerStats, ReorderBuffer
 from .demod import ChunkDemodResult, DemodTables, demod_chunk
-from .distributor import ChunkRecord
+from .distributor import DEFAULT_FULL_SCALE, ChunkRecord, receive_chunks
 from .fec import BATCH_SIZE, DecodedBlock, decode_batch, get_codec
 from .numerology import Numerology, load_numerology
 
@@ -299,28 +299,22 @@ def default_workers() -> int:
     return max(1, (os.cpu_count() or 2) - 2)
 
 
-def make_bench_corpus(ctx: ReceiverContext, n_chunks: int, seed: int = 0):
-    """Precompute an in-memory chunk corpus at Es/N0 12 dB for
-    as-fast-as-consumed feeding."""
+def make_bench_corpus(ctx: ReceiverContext, n_chunks: int, seed: int = 0) -> list[ChunkRecord]:
+    """Precompute `n_chunks` SC8 wire chunks at Es/N0 12 dB, received as on
+    every other path, for as-fast-as-consumed feeding."""
     from .channel import ChannelConfig, apply as chan_apply
     from .modem import generate_stream
 
     plan = ctx.plan
-    advance = plan.chunk.advance_samples
-    need = (n_chunks - 1) * advance + plan.chunk.chunk_samples
+    need = (n_chunks - 1) * plan.chunk.advance_samples + plan.chunk.chunk_samples
     n_frames = need // plan.frame_samples + 2
     stream = generate_stream(plan.profile, ctx.codec, n_frames, seed=seed)
     rx = chan_apply(
         stream.samples,
         ChannelConfig.for_profile(plan.profile, esn0_db=12.0, seed=seed + 1),
     )
-    return [
-        ChunkRecord(
-            first_sample_number=i * advance,
-            samples=rx[i * advance : i * advance + plan.chunk.chunk_samples],
-        )
-        for i in range(n_chunks)
-    ]
+    chunks, _ = receive_chunks(rx[:need], plan, DEFAULT_FULL_SCALE)
+    return chunks
 
 
 def bench(

@@ -1,12 +1,14 @@
 """Command-line workflows."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import chunksdr
 from chunksdr.cli import main
 from chunksdr.e2e import run_e2e
 from chunksdr.runtime import ReceiverContext
@@ -100,8 +102,8 @@ class TestFileChain:
         from chunksdr import iqfile
 
         x = iqfile.read_cf32(tmp_path / "t.cf32")
-        iqfile.write_sc8(tmp_path / "t.sc8", x, full_scale=4.0)
-        back = iqfile.read_sc8(tmp_path / "t.sc8", full_scale=4.0)
+        iqfile.quantize_int8(x, full_scale=4.0).tofile(tmp_path / "t.sc8")
+        back = iqfile.dequantize_int8(np.fromfile(tmp_path / "t.sc8", np.int8), full_scale=4.0)
         assert np.max(np.abs(back - x)) <= 4.0 * np.sqrt(2) / 254 + 1e-9
 
 
@@ -148,9 +150,12 @@ class TestJsonOutputs:
 
 class TestEntrypoint:
     def test_module_invocation(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(chunksdr.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "chunksdr.cli", "--help"],
-            capture_output=True, text=True,
+            env=env, capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert "txgen" in proc.stdout

@@ -13,7 +13,7 @@ from chunksdr.demod import HEAD_GUARD_RESAMPLED, HEAD_GUARD_SYMBOLS, HEAD_PAD_SA
 from chunksdr.demod.filters import outputs_touched, resample_matched_filter
 from chunksdr.demod.phase import PhaseLoopState, track_phase_two_pass
 from chunksdr.demod.timing import TimingLoopState, track_symbols_two_pass
-from chunksdr.distributor import InProcessTransport, assemble_chunks, packetize
+from chunksdr.distributor import assemble_chunks, packetize, receive_chunks
 from chunksdr.modem import generate_stream
 from chunksdr.runtime import ReceiverContext, run_pipeline
 
@@ -23,7 +23,7 @@ PPM = 10.0
 
 def _desk_stream(ctx, n_chunks, seed, cut=0):
     """Seeded desk stream at 12 dB and 10 ppm with a carrier offset, cut to
-    `n_chunks` chunks and packetized; returns (info bits, packets)."""
+    `n_chunks` chunks; returns (info bits, received samples)."""
     plan = ctx.plan
     n = (n_chunks - 1) * plan.chunk.advance_samples + plan.chunk.chunk_samples
     stream = generate_stream(plan.profile, ctx.codec, (n + cut) // plan.frame_samples + 3, seed=seed)
@@ -31,13 +31,14 @@ def _desk_stream(ctx, n_chunks, seed, cut=0):
         plan.profile, clock_offset_ppm=PPM, carrier_freq_offset=1e-4 / 1.6,
         initial_phase=0.4, esn0_db=12.0, seed=seed + 1,
     )
-    rx = chan_apply(stream.samples, cfg)[cut : cut + n]
-    return stream.info_bits, packetize(rx, plan, full_scale=FULL_SCALE).packets
+    return stream.info_bits, chan_apply(stream.samples, cfg)[cut : cut + n]
 
 
 @pytest.fixture(scope="module")
 def one_server(desk_ctx):
-    return _desk_stream(desk_ctx, 5, seed=11)
+    """(info bits, packets) of a 5-chunk desk stream."""
+    info_bits, rx = _desk_stream(desk_ctx, 5, seed=11)
+    return info_bits, packetize(rx, desk_ctx.plan, full_scale=FULL_SCALE).packets
 
 
 def _run(ctx, packets, lost=()):
@@ -101,19 +102,19 @@ def test_erased_frame_yields_no_delivered_block(desk_ctx, one_server):
 
 def test_lossy_stream_identical_across_runners():
     """Partial chunks decode to the same blocks and combiner counters on any
-    worker count and either backend."""
-    ctx = ReceiverContext.build("desk", servers=2)
-    _, packets = _desk_stream(ctx, 9, seed=21, cut=700)
-    transport = InProcessTransport(ctx.plan, loss_rate=3e-3, seed=4)
-    for p in packets:
-        transport.send(p)
-    per_server = [transport.drain(s) for s in range(ctx.plan.distribution.num_servers)]
-    chunks, assembly = assemble_chunks(per_server, ctx.plan, FULL_SCALE)
-    assert assembly.chunks_partial >= 2 and assembly.chunks_dropped == 0
-    runs = [
-        run_pipeline(chunks, ctx, workers=w, backend=b)
-        for w, b in ((1, "thread"), (3, "thread"), (2, "process"))
-    ]
+    worker count and either backend, and the same loss draw assembles the
+    same chunks on one server as on two."""
+    runners = {2: ((1, "thread"), (3, "thread"), (2, "process")), 1: ((2, "thread"),)}
+    runs, assemblies = [], []
+    for servers, configs in runners.items():
+        ctx = ReceiverContext.build("desk", servers=servers)
+        _, rx = _desk_stream(ctx, 9, seed=21, cut=700)
+        chunks, assembly = receive_chunks(rx, ctx.plan, FULL_SCALE, loss_rate=3e-3, seed=4)
+        assemblies.append(assembly)
+        runs += [run_pipeline(chunks, ctx, workers=w, backend=b) for w, b in configs]
+    two, one = assemblies
+    assert two.chunks_partial >= 2 and two.chunks_dropped == 0
+    assert one == two
     ref = runs[0]
     assert ref.stats.words_lost_to_erasures >= 1
     for other in runs[1:]:

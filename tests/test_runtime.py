@@ -93,12 +93,19 @@ class TestRunPipeline:
         np.testing.assert_array_equal(_bitstream(one.blocks), _bitstream(eight.blocks))
         assert eight.stats.combiner == one.stats.combiner
 
-    def test_lossless_frame_accounting(self, desk_ctx):
+    @pytest.mark.parametrize(
+        "frames, seed, recovered", [(64, 9, 63), (700, 0, 700)], ids=["64", "700"]
+    )
+    def test_lossless_frame_accounting(self, desk_ctx, frames, seed, recovered):
         """A lossless desk run recovers every scored frame (the generator
-        ground truth bounds head/tail losses to one)."""
-        result = run_e2e(desk_ctx, frames=64, esn0_db=12.0, workers=2, seed=9)
-        assert result.frames_recovered >= 63
+        ground truth bounds head/tail losses to one) and blames no packet
+        loss.  700 frames are more packets than a 4096-packet queue holds:
+        the receive path must not pass through one."""
+        result = run_e2e(desk_ctx, frames=frames, esn0_db=12.0, workers=2, seed=seed)
+        assert result.frames_recovered >= recovered
         assert result.ber == 0.0
+        summary = result.summary()
+        assert summary["chunks_dropped"] == summary["packets_missing"] == 0
 
     def test_stats_counters(self, desk_ctx, small_corpus):
         result = run_pipeline(small_corpus, desk_ctx, workers=2)
