@@ -36,7 +36,16 @@ def _loss_fields(c: dict) -> str:
 
 def _parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
+    if not (port.isdigit() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError(f"{text!r} is not host:port")
     return host or "127.0.0.1", int(port)
+
+
+def _parse_workers(text: str) -> list[int]:
+    counts = text.split(",")
+    if not all(c.isdigit() and int(c) > 0 for c in counts):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of counts")
+    return [int(c) for c in counts]
 
 
 def cmd_txgen(args) -> int:
@@ -170,8 +179,7 @@ def cmd_e2e(args) -> int:
 
 def cmd_bench(args) -> int:
     ctx = ReceiverContext.build(args.profile)
-    workers = [int(w) for w in args.workers.split(",")]
-    report = bench(ctx, workers, n_chunks=args.chunks, backend=args.backend,
+    report = bench(ctx, args.workers, n_chunks=args.chunks, backend=args.backend,
                    seed=args.seed, seconds=args.seconds)
     if args.out:
         with open(args.out, "w") as f:
@@ -191,12 +199,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    addr = _parse_addr(args.addr)
     if args.monitor_cmd == "ls":
-        for ad in monitor_ls(addr):
+        for ad in monitor_ls(args.addr):
             print(f"{ad.name}\t{ad.dtype}\thost={ad.host_id}\tthread={ad.thread_id}")
         return 0
-    data = monitor_grab(addr, args.name, args.count)
+    try:
+        data = monitor_grab(args.addr, args.name, args.count)
+    except KeyError:
+        print(f"error: no such tap {args.name!r}", file=sys.stderr)
+        return 1
     if data.dtype == np.complex64:
         iqfile.write_cf32(args.output, data)
     else:
@@ -234,11 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("distribute", help="packetize and distribute an IQ file")
     common(sp)
     sp.add_argument("-i", "--input", required=True)
-    sp.add_argument("-o", "--output", help="packet wire-format output file")
+    dest = sp.add_mutually_exclusive_group(required=True)
+    dest.add_argument("-o", "--output", help="packet wire-format output file")
+    dest.add_argument("--udp", action="store_true", help="send over UDP multicast instead")
     sp.add_argument("--servers", type=int, default=1)
     sp.add_argument("--loss-rate", type=float, default=0.0)
     sp.add_argument("--full-scale", type=float, default=DEFAULT_FULL_SCALE)
-    sp.add_argument("--udp", action="store_true", help="send over UDP multicast instead")
     sp.set_defaults(func=cmd_distribute)
 
     sp = sub.add_parser("demod", help="demodulate an IQ file into decoded blocks")
@@ -271,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="throughput sweep over worker counts")
     common(sp)
-    sp.add_argument("--workers", default="1,2,4")
+    sp.add_argument("--workers", type=_parse_workers, default="1,2,4")
     sp.add_argument("--chunks", type=int, default=8, help="corpus size (chunks)")
     sp.add_argument("--seconds", type=float, default=None,
                     help="cycle the corpus for this long per worker count")
@@ -284,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("monitor", help="query a running monitor endpoint")
     msub = sp.add_subparsers(dest="monitor_cmd", required=True)
     mls = msub.add_parser("ls")
-    mls.add_argument("--addr", required=True, help="host:port from the advert")
+    mls.add_argument("--addr", type=_parse_addr, required=True, help="host:port from the advert")
     mls.set_defaults(func=cmd_monitor)
     mgrab = msub.add_parser("grab")
     mgrab.add_argument("name")
     mgrab.add_argument("-n", "--count", type=int, default=4096)
     mgrab.add_argument("-o", "--output", required=True)
-    mgrab.add_argument("--addr", required=True)
+    mgrab.add_argument("--addr", type=_parse_addr, required=True)
     mgrab.set_defaults(func=cmd_monitor)
 
     return p

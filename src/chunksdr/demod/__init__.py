@@ -2,8 +2,8 @@
 
 resample/matched-filter -> two-pass symbol tracking -> two-pass phase
 tracking -> coherent frame sync -> soft decisions.  Demodulating a chunk is
-a pure function of (chunk, tables); all mutable state is chunk-local, and
-the precomputed tables are shared read-only across workers.
+a pure function of (chunk, tables): the tracking loops start from scratch on
+every chunk, and the precomputed tables are shared read-only across workers.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from ..numerology import WaveformProfile
 from .filters import DOWN, UP, outputs_touched, resample_matched_filter, rx_taps
 from .framesync import frame_sync
 from .interp import lagrange_bank
-from .phase import PhaseLoopState, track_phase_two_pass
+from .phase import track_phase_two_pass
 from .softbits import SoftFrame, llr_map_deinterleave
-from .timing import TimingLoopState, track_symbols_two_pass
+from .timing import track_symbols_two_pass
 
 __all__ = [
     "DemodTables",
@@ -118,9 +118,9 @@ def demod_chunk(
         taps.offer("resampler", resampled)
 
     warmup = min(2 * profile.warmup_symbols, resampled.size // 2)
-    tstate = TimingLoopState.for_bandwidth(profile.timing_loop_bw)
     tracked = track_symbols_two_pass(
-        resampled, tstate, warmup=warmup, head_guard=HEAD_GUARD_RESAMPLED, hold=held
+        resampled, profile.timing_loop_bw, warmup=warmup,
+        head_guard=HEAD_GUARD_RESAMPLED, hold=held,
     )
     erased = tracked.held
     t2 = time.perf_counter()
@@ -128,10 +128,10 @@ def demod_chunk(
     if taps is not None:
         taps.offer("timing", tracked.symbols)
 
-    pstate = PhaseLoopState.for_bandwidth(profile.phase_loop_bw)
     warmup_ph = min(profile.warmup_symbols, tracked.symbols.size // 2)
-    derotated = track_phase_two_pass(
-        tracked.symbols, pstate, warmup_ph, head_guard=HEAD_GUARD_SYMBOLS, hold=erased
+    derotated, _, _ = track_phase_two_pass(
+        tracked.symbols, profile.phase_loop_bw, warmup_ph,
+        head_guard=HEAD_GUARD_SYMBOLS, hold=erased,
     )
     t3 = time.perf_counter()
     stage_t["phase"] = t3 - t2

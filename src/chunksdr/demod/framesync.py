@@ -41,12 +41,9 @@ def coherent_offset(
     symbols: np.ndarray,
     preamble: Preamble,
     frame_symbols: int,
-    n_sum: int | None = None,
 ) -> tuple[int, float]:
     """Offset of the preamble within the frame period, and the peak ratio."""
     n_frames = symbols.size // frame_symbols
-    if n_sum is not None:
-        n_frames = min(n_frames, n_sum)
     if n_frames < 1:
         raise NoPeak("fewer than one frame of symbols")
     segs = symbols[: n_frames * frame_symbols].reshape(n_frames, frame_symbols)

@@ -38,7 +38,3 @@ def lagrange_bank() -> np.ndarray:
     bank = lagrange_taps(np.arange(N_FILTERS) / N_FILTERS)
     return np.ascontiguousarray(bank)
 
-
-def lagrange_interp(window: np.ndarray, filter_index: int) -> complex:
-    """Dot product of an 8-sample window with the selected bank filter."""
-    return complex(np.dot(np.asarray(window), lagrange_bank()[int(filter_index)]))

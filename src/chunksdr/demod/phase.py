@@ -17,64 +17,17 @@ arithmetic over the block's 8 angle residuals; it records each block's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..modem import GRAY_LABELS
 from .timing import freeze_table, loop_gains, touching
 
 PHASE_BLOCK = 8
-_POINTS = np.exp(1j * np.pi / 4 * np.arange(8)).astype(np.complex64)
-_LABELS = np.array(GRAY_LABELS)
-_BITS = np.array([[(g >> 2) & 1, (g >> 1) & 1, g & 1] for g in GRAY_LABELS], dtype=np.uint8)
-
-
-def slice_8psk(x: complex) -> tuple[complex, tuple[int, int, int]]:
-    """Nearest constellation point by angle, plus its 3 bits (MSB first).
-
-    Angle ties break toward the smaller Gray label; zero input returns the
-    label-0 point by convention.
-    """
-    if x == 0:
-        pos = int(np.nonzero(_LABELS == 0)[0][0])
-        return complex(_POINTS[pos]), tuple(_BITS[pos])
-    scaled = np.angle(x) * 4.0 / np.pi
-    lo = int(np.floor(scaled))
-    frac = scaled - lo
-    if abs(frac - 0.5) < 1e-9:  # boundary: pick the smaller label
-        a, b = lo % 8, (lo + 1) % 8
-        pos = a if _LABELS[a] < _LABELS[b] else b
-    else:
-        pos = int(np.floor(scaled + 0.5)) % 8
-    return complex(_POINTS[pos]), tuple(int(b) for b in _BITS[pos])
-
-
-def slice_positions(x: np.ndarray) -> np.ndarray:
-    """Vectorized nearest-point circle positions (ties round half-even)."""
-    scaled = np.angle(x) * 4.0 / np.pi
-    return np.round(scaled).astype(np.int64) % 8
-
 
 # Widest carrier offset the frequency accumulator may represent (rad/symbol);
 # offsets are assumed small, and the cap keeps integrator windup bounded
 # while the loop is still hunting for a lock point.
 FREQ_LIMIT = 0.05
-
-
-@dataclass
-class PhaseLoopState:
-    """Second-order phase loop accumulators; direction-reversible."""
-
-    kp: float
-    ki: float
-    theta: float = 0.0  # radians, wrapped to (-pi, pi]
-    freq: float = 0.0  # radians per symbol
-
-    @classmethod
-    def for_bandwidth(cls, loop_bw_per_symbol: float, **kw) -> "PhaseLoopState":
-        kp, ki = loop_gains(loop_bw_per_symbol * PHASE_BLOCK, detector_gain=1.0)
-        return cls(kp=kp, ki=ki, **kw)
 
 
 def _wrap(theta: float) -> float:
@@ -121,7 +74,6 @@ def _run_pass(
             theta = _wrap(theta + freq * PHASE_BLOCK)
             continue
         # remainder() leaves the residual to the nearest point, ties to even
-        # like slice_positions
         e = 0.0
         i = b * PHASE_BLOCK
         for a, w, k in zip(angles[i : i + PHASE_BLOCK], weights[i : i + PHASE_BLOCK], ramp):
@@ -147,12 +99,17 @@ def _run_pass(
 
 def track_phase_two_pass(
     symbols: np.ndarray,
-    state: PhaseLoopState,
+    loop_bw: float,
     warmup_symbols: int,
     head_guard: int = 0,
     hold: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float, float]:
     """Derotate a symbol stream; backward warmup then full forward pass.
+
+    `loop_bw` is the loop bandwidth per symbol, which sets the loop gains;
+    the loop starts at zero phase and frequency.  Returns the derotated
+    symbols and the loop's final `theta` (radians) and `freq` (radians per
+    symbol).
 
     `head_guard` symbols at the front are excluded from the backward pass and
     derotated with frozen loop state on the forward pass (chunk-edge junk).
@@ -162,13 +119,14 @@ def track_phase_two_pass(
     """
     x = np.ascontiguousarray(symbols, dtype=np.complex64)
     warmup = min(warmup_symbols, x.size)
-    theta, freq = state.theta, state.freq
+    kp, ki = loop_gains(loop_bw * PHASE_BLOCK, detector_gain=1.0)
+    theta = freq = 0.0
     if warmup > head_guard + 2 * PHASE_BLOCK:
         freeze = 0
         if hold is not None:
             freeze = touching(hold[head_guard:warmup][::-1], 0, PHASE_BLOCK)
         theta, freq, _ = _run_pass(
-            x[head_guard:warmup][::-1], theta, -freq, state.kp, state.ki, False, freeze
+            x[head_guard:warmup][::-1], theta, -freq, kp, ki, False, freeze
         )
         freq = -freq  # second-order term flips with processing direction
         # theta converged at the guard boundary; rewind the ramp to symbol 0
@@ -177,7 +135,5 @@ def track_phase_two_pass(
     if hold is not None:
         freeze = touching(hold, 0, PHASE_BLOCK)
         freeze[:head_guard] = True
-    theta, freq, out = _run_pass(x, theta, freq, state.kp, state.ki, True, freeze)
-    state.theta = theta
-    state.freq = freq
-    return out
+    theta, freq, out = _run_pass(x, theta, freq, kp, ki, True, freeze)
+    return out, theta, freq

@@ -70,29 +70,12 @@ RATE_LIMIT = 2e-4
 
 
 @dataclass
-class TimingLoopState:
-    """Second-order timing NCO state; direction-reversible."""
-
-    kp: float
-    ki: float
-    filter_index: float = 0.0  # fractional position in [0, 128)
-    rate: float = 0.0  # estimated drift, samples per output sample
-    skips: int = 0
-    repeats: int = 0
-
-    @classmethod
-    def for_bandwidth(cls, loop_bw_per_symbol: float, **kw) -> "TimingLoopState":
-        kp, ki = timing_gains(loop_bw_per_symbol)
-        return cls(kp=kp, ki=ki, **kw)
-
-
-@dataclass
 class TrackedSymbols:
     """Tracker output: symbols plus their positions in the 2/sps input."""
 
     symbols: np.ndarray  # complex64
     positions: np.ndarray  # float64, fractional index into the tracker input
-    state: TimingLoopState
+    rate: float  # final loop drift estimate, samples per output sample
     consumed_samples: int  # inputs covered by the forward pass
     skips: int
     repeats: int
@@ -227,18 +210,22 @@ _READ_BEFORE, _READ_AFTER = _WIN_LEFT, BLOCK_OUT + FLUSH - _WIN_LEFT - 1
 
 def track_symbols_two_pass(
     samples: np.ndarray,
-    state: TimingLoopState,
+    loop_bw: float,
     warmup: int,
     head_guard: int = 0,
     hold: np.ndarray | None = None,
+    filter_index: float = 0.0,
 ) -> TrackedSymbols:
     """Backward warmup pass, then a forward pass over the whole input.
 
-    `warmup` is the number of leading samples (at 2/symbol) the backward pass
-    converges over; 0 runs single-pass from the initial state.  The backward
-    pass runs the forward kernel on the time-reversed head; handing the state
-    over flips the sign of the second-order (rate) accumulator and mirrors
-    the fractional delay while the proportional path is untouched.
+    `loop_bw` is the loop bandwidth per symbol, which sets the loop gains;
+    `filter_index` is the starting fractional delay in bank filters [0, 128)
+    with the rate at zero.  `warmup` is the number of leading samples (at
+    2/symbol) the backward pass converges over; 0 runs single-pass from the
+    starting delay.  The backward pass runs the forward kernel on the
+    time-reversed head; handing the state over flips the sign of the
+    second-order (rate) accumulator and mirrors the fractional delay while
+    the proportional path is untouched.
     `head_guard` excludes that many leading samples (chunk-edge junk) from
     the backward pass and freezes loop updates over them going forward.
     `hold` optionally marks input samples the loop must not learn from (an
@@ -250,8 +237,9 @@ def track_symbols_two_pass(
     if warmup > x.size:
         raise WarmupExceedsChunk(f"warmup {warmup} exceeds {x.size} samples")
 
-    tau0 = (state.filter_index % N_FILTERS) / N_FILTERS
-    rate0 = state.rate
+    kp, ki = timing_gains(loop_bw)
+    tau0 = (filter_index % N_FILTERS) / N_FILTERS
+    rate0 = 0.0
     q0 = _WIN_LEFT
     if warmup:
         if warmup <= head_guard + 2 * BLOCK_OUT:
@@ -262,7 +250,7 @@ def track_symbols_two_pass(
         freeze = 0
         if hold is not None:
             freeze = touching(hold[head_guard:warmup][::-1], _READ_BEFORE, _READ_AFTER)
-        back, _, _ = _run_pass(xr, _WIN_LEFT, tau0, rate0, state.kp, state.ki, False, freeze)
+        back, _, _ = _run_pass(xr, _WIN_LEFT, tau0, rate0, kp, ki, False, freeze)
         # next-output position in reversed coords -> forward coords
         p_rev = back.q + back.tau
         cf = (warmup - 1) - p_rev
@@ -275,20 +263,16 @@ def track_symbols_two_pass(
     if hold is not None:
         freeze = touching(hold, _READ_BEFORE, _READ_AFTER)
         freeze[:head_guard] = True
-    fwd, symbols, positions = _run_pass(x, q0, tau0, rate0, state.kp, state.ki, True, freeze)
+    fwd, symbols, positions = _run_pass(x, q0, tau0, rate0, kp, ki, True, freeze)
     held = None
     if hold is not None:
         # a symbol at position p interpolates inputs [floor(p) - 3, floor(p) + 5)
         base = np.floor(positions).astype(np.int64)
         held = touching(hold, _WIN_LEFT, FLUSH - _WIN_LEFT)[base]
-    state.filter_index = fwd.tau * N_FILTERS
-    state.rate = fwd.rate
-    state.skips += fwd.skips
-    state.repeats += fwd.repeats
     return TrackedSymbols(
         symbols=symbols,
         positions=positions,
-        state=state,
+        rate=fwd.rate,
         consumed_samples=fwd.q - fwd.q_start,
         skips=fwd.skips,
         repeats=fwd.repeats,

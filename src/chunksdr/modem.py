@@ -241,66 +241,25 @@ def tx_rx_taps(rolloff: float) -> tuple[np.ndarray, np.ndarray]:
     return tx, rx
 
 
-class TxShaper:
-    """Streaming polyphase interpolator from symbols to 8/5 samples/symbol.
-
-    Filter state persists across calls, so frame boundaries are continuous.
-    Emission lags the input by one 5-symbol cycle (8 samples) so only samples
-    fully determined by symbols seen so far leave `feed`; `flush` emits the
-    held tail at end of stream.
-    """
-
-    HISTORY_SYMBOLS = 15  # > taps span (81/8) and divisible by 5
-    TAIL_SAMPLES = INTERNAL_SPS  # one 5-symbol cycle held back
-
-    def __init__(self, profile: WaveformProfile):
-        if profile.samples_per_symbol != Fraction(8, 5):
-            raise NotImplementedError("TX shaper supports 8/5 samples/symbol")
-        self.taps, _ = tx_rx_taps(profile.rolloff)
-        self._history = np.zeros(self.HISTORY_SYMBOLS, dtype=np.complex64)
-        self._pending = np.zeros(0, dtype=np.complex64)
-        self._started = False
-
-    def feed(self, symbols: np.ndarray) -> np.ndarray:
-        """Shape a block of symbols (buffered to multiples of 5)."""
-        sym = np.concatenate([self._pending, np.asarray(symbols, dtype=np.complex64)])
-        usable = (sym.size // 5) * 5
-        self._pending = sym[usable:]
-        sym = sym[:usable]
-        if usable == 0:
-            return np.zeros(0, dtype=np.complex64)
-        block = np.concatenate([self._history, sym])
-        full = upfirdn(self.taps, block, up=INTERNAL_SPS, down=5)
-        n_out = usable * INTERNAL_SPS // 5
-        offset = self.HISTORY_SYMBOLS * INTERNAL_SPS // 5 + (RRC_TAPS - 1) // 2 // 5
-        if self._started:
-            out = full[offset - self.TAIL_SAMPLES : offset + n_out - self.TAIL_SAMPLES]
-        else:
-            out = full[offset : offset + n_out - self.TAIL_SAMPLES]
-            self._started = True
-        if sym.size >= self.HISTORY_SYMBOLS:
-            self._history = sym[-self.HISTORY_SYMBOLS :]
-        else:
-            self._history = np.concatenate([self._history, sym])[-self.HISTORY_SYMBOLS :]
-        return out.astype(np.complex64)
-
-    def flush(self) -> np.ndarray:
-        """End of stream: emit the held-back tail (future taken as zero)."""
-        if not self._started:
-            return np.zeros(0, dtype=np.complex64)
-        return self.feed(np.zeros(5 - self._pending.size % 5 if self._pending.size % 5 else 5,
-                                  dtype=np.complex64))
-
-
 def pulse_shape(symbols: np.ndarray, profile: WaveformProfile) -> np.ndarray:
-    """Shape a whole symbol stream at once (length must divide by 5)."""
-    shaper = TxShaper(profile)
-    out = shaper.feed(symbols)
-    if shaper._pending.size:
-        raise LengthNotDivisible(
-            f"symbol count {np.asarray(symbols).size} not divisible by 5"
-        )
-    return np.concatenate([out, shaper.flush()])
+    """Shape a whole symbol stream to 8/5 samples/symbol (length must divide
+    by 5).
+
+    Output sample 0 is symbol 0's center, and the output ends with the last
+    symbol's samples, the symbols after it taken as zero.
+    """
+    if profile.samples_per_symbol != Fraction(8, 5):
+        raise NotImplementedError("pulse shaping supports 8/5 samples/symbol")
+    symbols = np.asarray(symbols, dtype=np.complex64)
+    if symbols.size % 5:
+        raise LengthNotDivisible(f"symbol count {symbols.size} not divisible by 5")
+    n_out = symbols.size * INTERNAL_SPS // 5
+    if n_out == 0:
+        return np.zeros(0, dtype=np.complex64)
+    taps, _ = tx_rx_taps(profile.rolloff)
+    delay = (RRC_TAPS - 1) // 2 // 5  # the filter's group delay, in output samples
+    out = upfirdn(taps, symbols, up=INTERNAL_SPS, down=5)[delay : delay + n_out]
+    return out.astype(np.complex64)
 
 
 @dataclass

@@ -14,9 +14,9 @@ from chunksdr.combiner import ReorderBuffer
 from chunksdr.demod import demod_chunk
 from chunksdr.demod.filters import resample_matched_filter, rx_taps
 from chunksdr.demod.framesync import coherent_offset
-from chunksdr.demod.interp import ANCHOR, N_FILTERS, lagrange_interp, lagrange_taps
+from chunksdr.demod.interp import ANCHOR, N_FILTERS, lagrange_taps
 from chunksdr.demod.softbits import llr_map
-from chunksdr.demod.timing import TimingLoopState, gardner_ted, track_symbols_two_pass
+from chunksdr.demod.timing import gardner_ted, track_symbols_two_pass
 from chunksdr.distributor import ChunkRecord
 from chunksdr.e2e import run_e2e
 from chunksdr.fec import DecodedBlock, decode_batch
@@ -29,6 +29,7 @@ from chunksdr.runtime import (
     run_pipeline,
     run_pipeline_processes,
 )
+from dsp_refs import lagrange_interp, slice_positions
 
 CONST = Constellation8PSK()
 
@@ -80,8 +81,9 @@ def test_criterion_2_numerology_exactness():
 
 
 def _tracked_evm(profile, symbols, samples, warmup_symbols, init_index=48.0, first=100):
-    state = TimingLoopState.for_bandwidth(profile.timing_loop_bw, filter_index=init_index)
-    res = track_symbols_two_pass(samples, state, warmup=2 * warmup_symbols)
+    res = track_symbols_two_pass(
+        samples, profile.timing_loop_bw, warmup=2 * warmup_symbols, filter_index=init_index
+    )
     idx = np.round(res.positions / 2).astype(int)
     ok = (idx >= 0) & (idx < symbols.size)
     err = res.symbols[ok][:first] - symbols[idx[ok]][:first]
@@ -106,8 +108,7 @@ def test_criterion_3_two_pass_benefit(desk_plan):
     # at infinite SNR the two-pass loop is converged from the first symbol
     symbols = CONST.points[rng.integers(0, 8, 20000)]
     y = resample_matched_filter(pulse_shape(symbols, profile), rx_taps(profile))
-    state = TimingLoopState.for_bandwidth(profile.timing_loop_bw, filter_index=40.0)
-    res = track_symbols_two_pass(y, state, warmup=2 * 4096)
+    res = track_symbols_two_pass(y, profile.timing_loop_bw, warmup=2 * 4096, filter_index=40.0)
     idx = np.round(res.positions / 2).astype(int)
     ok = (idx >= 0) & (idx < symbols.size)
     err = res.symbols[ok] - symbols[idx[ok]]
@@ -134,8 +135,7 @@ def test_criterion_4_clock_offset_accounting(desk_plan):
     rx = chan_apply(tx, ChannelConfig(clock_offset_ppm=10.0))
     y = resample_matched_filter(rx, rx_taps(profile))
     assert y.size >= 1_000_000
-    state = TimingLoopState.for_bandwidth(profile.timing_loop_bw)
-    res = track_symbols_two_pass(y[:1_000_000], state, warmup=2 * 4096)
+    res = track_symbols_two_pass(y[:1_000_000], profile.timing_loop_bw, warmup=2 * 4096)
     net = res.skips - res.repeats
     assert 9 <= net <= 11, f"net skips {net}"
     _report(4, f"{net} net skipped samples over 1e6 at +10 ppm")
@@ -176,7 +176,7 @@ def test_criterion_5_coherent_frame_sync(desk_plan):
         )  # unit power per symbol: Es/N0 = 0 dB
         x = clean + noise
         got_c, _ = coherent_offset(x, preamble, f)
-        got_s, _ = coherent_offset(x[:f], preamble, f, n_sum=1)
+        got_s, _ = coherent_offset(x[:f], preamble, f)
         coherent_hits += got_c == offset
         single_hits += got_s == offset
     assert coherent_hits >= 0.95 * trials, f"coherent {coherent_hits}/{trials}"
@@ -410,8 +410,6 @@ def test_criterion_9_dsp_micro_oracles(desk_plan):
     x = x[np.abs(x) > 1e-6]
     llrs = llr_map(x, noise_var=0.3)
     hard = (llrs < 0).astype(np.uint8)
-    from chunksdr.demod.phase import slice_positions
-
     want = CONST.bits_of_position[slice_positions(x)]
     np.testing.assert_array_equal(hard, want)
     _report(9, f"lagrange {worst:.1e}; gardner signs ok; cascade ISI {isi:.4f}; LLR==slicer")

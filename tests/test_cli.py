@@ -11,6 +11,7 @@ import pytest
 import chunksdr
 from chunksdr.cli import main
 from chunksdr.e2e import run_e2e
+from chunksdr.monitor import MonitorServer
 from chunksdr.runtime import ReceiverContext
 
 
@@ -29,6 +30,38 @@ class TestExitCodes:
         rc = main(["channel", "-i", str(tmp_path / "nope.cf32"), "-o", str(tmp_path / "o.cf32")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distribute", "-i", "{tx}"],
+            ["monitor", "ls", "--addr", "localhost"],
+            ["monitor", "grab", "x", "-o", "{out}", "--addr", "localhost:http"],
+            ["bench", "--workers", "1,x"],
+            ["bench", "--workers", "0"],
+        ],
+    )
+    def test_bad_arguments_exit_2_with_usage(self, argv, tmp_path, capsys):
+        tx = tmp_path / "tx.cf32"
+        np.zeros(8, np.complex64).tofile(tx)
+        argv = [a.format(tx=tx, out=tmp_path / "o.cf32") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: chunksdr ") and "error:" in err
+
+    def test_monitor_grab_unknown_tap_exits_1(self, tmp_path, capsys):
+        server = MonitorServer(period=0.05)
+        try:
+            host, port = server.address
+            rc = main(["monitor", "grab", "nope", "-o", str(tmp_path / "o.cf32"),
+                       "--addr", f"{host}:{port}"])
+        finally:
+            server.close()
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no such tap 'nope'\n"
+        assert not (tmp_path / "o.cf32").exists()
 
 
 class TestFileChain:

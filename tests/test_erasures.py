@@ -11,8 +11,8 @@ import pytest
 from chunksdr.channel import ChannelConfig, apply as chan_apply
 from chunksdr.demod import HEAD_GUARD_RESAMPLED, HEAD_GUARD_SYMBOLS, HEAD_PAD_SAMPLES
 from chunksdr.demod.filters import outputs_touched, resample_matched_filter
-from chunksdr.demod.phase import PhaseLoopState, track_phase_two_pass
-from chunksdr.demod.timing import TimingLoopState, track_symbols_two_pass
+from chunksdr.demod.phase import track_phase_two_pass
+from chunksdr.demod.timing import track_symbols_two_pass
 from chunksdr.distributor import assemble_chunks, packetize, receive_chunks
 from chunksdr.modem import generate_stream
 from chunksdr.runtime import ReceiverContext, run_pipeline
@@ -153,7 +153,7 @@ def test_empty_hold_takes_the_head_guard_path(desk_ctx, one_server):
     warmup = min(2 * profile.warmup_symbols, y.size // 2)
     tracked = [
         track_symbols_two_pass(
-            y, TimingLoopState.for_bandwidth(profile.timing_loop_bw), warmup=warmup,
+            y, profile.timing_loop_bw, warmup=warmup,
             head_guard=HEAD_GUARD_RESAMPLED, hold=hold,
         )
         for hold in (None, np.zeros(y.size, bool))
@@ -164,10 +164,9 @@ def test_empty_hold_takes_the_head_guard_path(desk_ctx, one_server):
     symbols = tracked[0].symbols
     derotated = [
         track_phase_two_pass(
-            symbols, PhaseLoopState.for_bandwidth(profile.phase_loop_bw),
-            min(profile.warmup_symbols, symbols.size // 2),
+            symbols, profile.phase_loop_bw, min(profile.warmup_symbols, symbols.size // 2),
             head_guard=HEAD_GUARD_SYMBOLS, hold=hold,
-        )
+        )[0]
         for hold in (None, np.zeros(symbols.size, bool))
     ]
     assert derotated[0].tobytes() == derotated[1].tobytes()

@@ -126,7 +126,7 @@ class TestCoherentGain:
             )  # Es/N0 = 0 dB: unit noise power per symbol
             x = clean + noise
             off_c, _ = coherent_offset(x, preamble, f)
-            off_s, _ = coherent_offset(x[:f], preamble, f, n_sum=1)
+            off_s, _ = coherent_offset(x[:f], preamble, f)
             coherent_hits += off_c == 0
             single_hits += off_s == 0
         assert coherent_hits >= 0.95 * trials

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from chunksdr.demod.interp import ANCHOR, N_FILTERS, lagrange_bank, lagrange_interp, lagrange_taps
+from chunksdr.demod.interp import ANCHOR, N_FILTERS, lagrange_bank, lagrange_taps
+from dsp_refs import lagrange_interp
 
 
 class TestBank:

@@ -21,24 +21,17 @@ from chunksdr.demod import (
 )
 from chunksdr.demod.filters import resample_matched_filter
 from chunksdr.demod.interp import N_FILTERS, lagrange_bank
-from chunksdr.demod.phase import (
-    _POINTS,
-    FREQ_LIMIT,
-    PHASE_BLOCK,
-    PhaseLoopState,
-    slice_positions,
-    track_phase_two_pass,
-)
+from chunksdr.demod.phase import FREQ_LIMIT, PHASE_BLOCK, track_phase_two_pass
 from chunksdr.demod.timing import (
     _WIN_LEFT,
     BLOCK_OUT,
     FLUSH,
     RATE_LIMIT,
-    TimingLoopState,
     _PassResult,
     track_symbols_two_pass,
 )
 from chunksdr.modem import generate_stream
+from dsp_refs import _POINTS, slice_positions
 
 N_CHUNKS = 3
 
@@ -166,16 +159,17 @@ def resampled_chunks(desk_ctx):
 
 
 def _track_symbols(profile, y):
-    state = TimingLoopState.for_bandwidth(profile.timing_loop_bw)
     warmup = min(2 * profile.warmup_symbols, y.size // 2)
-    return track_symbols_two_pass(y, state, warmup=warmup, head_guard=HEAD_GUARD_RESAMPLED)
+    return track_symbols_two_pass(
+        y, profile.timing_loop_bw, warmup=warmup, head_guard=HEAD_GUARD_RESAMPLED
+    )
 
 
 def _track_phase(profile, symbols):
-    state = PhaseLoopState.for_bandwidth(profile.phase_loop_bw)
     warmup = min(profile.warmup_symbols, symbols.size // 2)
-    out = track_phase_two_pass(symbols, state, warmup, head_guard=HEAD_GUARD_SYMBOLS)
-    return out, state
+    return track_phase_two_pass(
+        symbols, profile.phase_loop_bw, warmup, head_guard=HEAD_GUARD_SYMBOLS
+    )
 
 
 @pytest.mark.parametrize("index", range(N_CHUNKS))
@@ -191,19 +185,20 @@ def test_timing_loop_matches_reference(desk_ctx, resampled_chunks, monkeypatch, 
     assert got.symbols.dtype == want.symbols.dtype
     np.testing.assert_allclose(got.symbols, want.symbols, rtol=0, atol=1e-6)
     np.testing.assert_allclose(got.positions, want.positions, rtol=0, atol=1e-9)
+    assert abs(got.rate - want.rate) <= 1e-9
 
 
 @pytest.mark.parametrize("index", range(N_CHUNKS))
 def test_phase_loop_matches_reference(desk_ctx, resampled_chunks, monkeypatch, index):
     profile = desk_ctx.plan.profile
     symbols = _track_symbols(profile, resampled_chunks[index]).symbols
-    got, got_state = _track_phase(profile, symbols)
+    got, got_theta, got_freq = _track_phase(profile, symbols)
     monkeypatch.setattr(phase, "_run_pass", _ref_phase_pass)
-    want, want_state = _track_phase(profile, symbols)
+    want, want_theta, want_freq = _track_phase(profile, symbols)
     assert got.dtype == want.dtype and got.size == want.size
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
-    assert abs(got_state.theta - want_state.theta) <= 1e-9
-    assert abs(got_state.freq - want_state.freq) <= 1e-9
+    assert abs(got_theta - want_theta) <= 1e-9
+    assert abs(got_freq - want_freq) <= 1e-9
 
 
 @pytest.mark.parametrize("blocks", [1, 4])

@@ -8,7 +8,6 @@ from chunksdr.errors import LengthMismatch, LengthNotDivisible
 from chunksdr.fec import PassthroughCodec
 from chunksdr.modem import (
     Preamble,
-    TxShaper,
     build_frame,
     deinterleave,
     interleave,
@@ -157,17 +156,6 @@ class TestPulseShape:
         center = len(cascade) // 2
         lags = cascade[center + 8 :: 8]  # 8 internal samples per symbol
         assert np.max(np.abs(lags)) < 0.02
-
-    def test_streaming_matches_oneshot(self, desk_plan, random_symbols):
-        profile = desk_plan.profile
-        symbols = random_symbols(3150, seed=4)  # 3 frames' worth
-        oneshot = pulse_shape(symbols, profile)
-        shaper = TxShaper(profile)
-        parts = [shaper.feed(symbols[i : i + 1050]) for i in range(0, 3150, 1050)]
-        parts.append(shaper.flush())
-        streamed = np.concatenate(parts)
-        assert streamed.size == oneshot.size
-        np.testing.assert_allclose(streamed, oneshot, atol=1e-6)
 
     def test_rrc_taps_symmetric(self):
         taps = rrc_taps(rolloff=0.25)

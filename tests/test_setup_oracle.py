@@ -1,22 +1,35 @@
 """Receiver set-up and sample I/O against their first-written reference bodies.
 
-The `_ref_*` functions below are the tap design, the int8 quantizer and
-dequantizer and the LDPC encoder as first written: the tap design probes
-each RX tap with two `upfirdn` calls per polyphase offset, the quantizer
-works on complex temporaries, and the encoder is built from the dense
-parity-check matrix when the codec is made.  The shipped versions index
-the TX cascades, quantize through a bounded float32 buffer, dequantize in
-one cast-and-multiply ufunc, and build the encoder on first use; every
-output must be identical to the bit.
+The `_ref_*` functions below are the tap design, the pulse shaper, the int8
+quantizer and dequantizer and the LDPC encoder as first written: the tap
+design probes each RX tap with two `upfirdn` calls per polyphase offset, the
+pulse shaper is a streaming interpolator that keeps symbol history and holds
+back one 5-symbol cycle until flushed, the quantizer works on complex
+temporaries, and the encoder is built from the dense parity-check matrix
+when the codec is made.  The shipped versions index the TX cascades, shape
+a stream in one `upfirdn` call, quantize through a bounded float32 buffer,
+dequantize in one cast-and-multiply ufunc, and build the encoder on first
+use; every output must be identical to the bit.
 """
+
+import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from chunksdr import iqfile
 from chunksdr.distributor import packetize
+from chunksdr.errors import LengthNotDivisible
 from chunksdr.fec import get_codec
-from chunksdr.modem import INTERNAL_SPS, RRC_TAPS, rrc_taps, tx_rx_taps, upfirdn
+from chunksdr.modem import (
+    INTERNAL_SPS,
+    RRC_TAPS,
+    pulse_shape,
+    rrc_taps,
+    tx_rx_taps,
+    upfirdn,
+)
 
 FULL_SCALE_INT8 = 127
 
@@ -56,6 +69,55 @@ def _ref_tx_rx_taps(rolloff):
     aw = a * weight[:, None]
     rx = np.linalg.solve(a.T @ aw + lam * np.eye(RRC_TAPS), aw.T @ target + lam * rx0)
     return tx, rx
+
+
+class _RefTxShaper:
+    HISTORY_SYMBOLS = 15  # > taps span (81/8) and divisible by 5
+    TAIL_SAMPLES = INTERNAL_SPS  # one 5-symbol cycle held back
+
+    def __init__(self, profile):
+        self.taps, _ = tx_rx_taps(profile.rolloff)
+        self._history = np.zeros(self.HISTORY_SYMBOLS, dtype=np.complex64)
+        self._pending = np.zeros(0, dtype=np.complex64)
+        self._started = False
+
+    def feed(self, symbols):
+        sym = np.concatenate([self._pending, np.asarray(symbols, dtype=np.complex64)])
+        usable = (sym.size // 5) * 5
+        self._pending = sym[usable:]
+        sym = sym[:usable]
+        if usable == 0:
+            return np.zeros(0, dtype=np.complex64)
+        block = np.concatenate([self._history, sym])
+        full = upfirdn(self.taps, block, up=INTERNAL_SPS, down=5)
+        n_out = usable * INTERNAL_SPS // 5
+        offset = self.HISTORY_SYMBOLS * INTERNAL_SPS // 5 + (RRC_TAPS - 1) // 2 // 5
+        if self._started:
+            out = full[offset - self.TAIL_SAMPLES : offset + n_out - self.TAIL_SAMPLES]
+        else:
+            out = full[offset : offset + n_out - self.TAIL_SAMPLES]
+            self._started = True
+        if sym.size >= self.HISTORY_SYMBOLS:
+            self._history = sym[-self.HISTORY_SYMBOLS :]
+        else:
+            self._history = np.concatenate([self._history, sym])[-self.HISTORY_SYMBOLS :]
+        return out.astype(np.complex64)
+
+    def flush(self):
+        if not self._started:
+            return np.zeros(0, dtype=np.complex64)
+        return self.feed(np.zeros(5 - self._pending.size % 5 if self._pending.size % 5 else 5,
+                                  dtype=np.complex64))
+
+
+def _ref_pulse_shape(symbols, profile):
+    shaper = _RefTxShaper(profile)
+    out = shaper.feed(symbols)
+    if shaper._pending.size:
+        raise LengthNotDivisible(
+            f"symbol count {np.asarray(symbols).size} not divisible by 5"
+        )
+    return np.concatenate([out, shaper.flush()])
 
 
 def _ref_quantize_int8(samples, full_scale=1.0):
@@ -141,6 +203,32 @@ def test_taps_match_reference(rolloff):
     ref_tx, ref_rx = _ref_tx_rx_taps(rolloff)
     np.testing.assert_array_equal(tx, ref_tx)
     np.testing.assert_array_equal(rx, ref_rx)
+
+
+@pytest.mark.parametrize("plan", ["desk_plan", "paper_plan"])
+def test_pulse_shape_matches_reference(plan, request):
+    """Random symbol runs of 5 to 100, two whole frames, and no symbols."""
+    profile = request.getfixturevalue(plan).profile
+    rng = np.random.default_rng(3)
+    sizes = [5, 10, 15, 20, 25, 100, 2 * profile.frame_symbols, 0]
+    for n in sizes:
+        symbols = np.exp(1j * np.pi / 4 * rng.integers(0, 8, n)).astype(np.complex64)
+        got = pulse_shape(symbols, profile)
+        want = _ref_pulse_shape(symbols, profile)
+        assert got.dtype == want.dtype == np.complex64
+        assert got.tobytes() == want.tobytes(), n
+
+
+def test_pulse_shape_rejects_what_the_reference_rejects(desk_plan):
+    profile = desk_plan.profile
+    for n in (1, 4, 6, 101):
+        with pytest.raises(LengthNotDivisible):
+            _ref_pulse_shape(np.ones(n, np.complex64), profile)
+        with pytest.raises(LengthNotDivisible):
+            pulse_shape(np.ones(n, np.complex64), profile)
+    other = dataclasses.replace(profile, samples_per_symbol=Fraction(2))
+    with pytest.raises(NotImplementedError):
+        pulse_shape(np.ones(10, np.complex64), other)
 
 
 @pytest.mark.parametrize("full_scale", [1.0, 4.0, 0.3])

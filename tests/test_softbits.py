@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from chunksdr.demod.phase import slice_8psk
 from chunksdr.demod.softbits import llr_map, llr_map_deinterleave
 from chunksdr.errors import LengthMismatch
 from chunksdr.modem import interleave
+from dsp_refs import slice_8psk
 
 
 class TestLlrMap:

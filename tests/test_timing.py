@@ -6,7 +6,7 @@ import pytest
 from chunksdr.channel import ChannelConfig, apply as chan_apply
 from chunksdr.demod.filters import resample_matched_filter, rx_taps
 from chunksdr.demod.interp import ANCHOR, N_TAPS, lagrange_taps
-from chunksdr.demod.timing import TimingLoopState, gardner_ted, track_symbols_two_pass
+from chunksdr.demod.timing import gardner_ted, track_symbols_two_pass
 from chunksdr.errors import WarmupExceedsChunk
 from chunksdr.modem import pulse_shape
 
@@ -72,11 +72,10 @@ def rx_taps_for_test():
 
 
 class TestTwoPassTracking:
-    def _track(self, samples, profile, warmup_symbols, init_index=0.0, state=None):
-        st = state or TimingLoopState.for_bandwidth(
-            profile.timing_loop_bw, filter_index=init_index
+    def _track(self, samples, profile, warmup_symbols, init_index=0.0):
+        return track_symbols_two_pass(
+            samples, profile.timing_loop_bw, warmup=2 * warmup_symbols, filter_index=init_index
         )
-        return track_symbols_two_pass(samples, st, warmup=2 * warmup_symbols)
 
     def test_perfect_start_recovers_from_first_symbol(self, desk_plan, shaped_stream):
         """No discarded transient: symbol 0 of the tracked stream is good."""
@@ -138,8 +137,9 @@ class TestTwoPassTracking:
             )
             y = resample_matched_filter(noisy, rx_taps(profile))
             for warm, bucket in ((warmup, two_pass_evm), (0, single_evm)):
-                st = TimingLoopState.for_bandwidth(profile.timing_loop_bw, filter_index=48.0)
-                res = track_symbols_two_pass(y, st, warmup=2 * warm)
+                res = track_symbols_two_pass(
+                    y, profile.timing_loop_bw, warmup=2 * warm, filter_index=48.0
+                )
                 idx = np.round(res.positions / 2).astype(int)
                 ok = (idx >= 0) & (idx < n_sym)
                 err = res.symbols[ok][:100] - symbols[idx[ok]][:100]
@@ -156,6 +156,5 @@ class TestTwoPassTracking:
         np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_warmup_exceeds_chunk(self, desk_plan):
-        st = TimingLoopState.for_bandwidth(1e-3)
         with pytest.raises(WarmupExceedsChunk):
-            track_symbols_two_pass(np.zeros(100, np.complex64), st, warmup=200)
+            track_symbols_two_pass(np.zeros(100, np.complex64), 1e-3, warmup=200)
