@@ -15,7 +15,6 @@ from .numerology import (
     Numerology,
     PacketPlan,
     WaveformProfile,
-    build_plan,
     load_numerology,
     load_profile,
     make_numerology,
@@ -28,7 +27,6 @@ __all__ = [
     "Numerology",
     "PacketPlan",
     "WaveformProfile",
-    "build_plan",
     "load_numerology",
     "load_profile",
     "make_numerology",

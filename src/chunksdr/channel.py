@@ -26,11 +26,9 @@ class ChannelConfig:
     initial_phase: float = 0.0  # radians
     esn0_db: float | None = None  # None = noiseless
     seed: int = 0
-    samples_per_symbol: float = 1.6  # Es/N0 reference point
 
     @classmethod
     def for_profile(cls, profile: WaveformProfile, **kw) -> "ChannelConfig":
-        kw.setdefault("samples_per_symbol", float(profile.samples_per_symbol))
         cfg = cls(**kw)
         if abs(cfg.clock_offset_ppm) > profile.max_clock_offset_ppm:
             warnings.warn(
@@ -70,14 +68,14 @@ def apply(iq: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     if cfg.esn0_db is not None:
         rng = np.random.default_rng(cfg.seed)
         power = float(np.mean(y.real**2 + y.imag**2))
-        es = power * cfg.samples_per_symbol
+        es = power * float(WaveformProfile.samples_per_symbol)
         sigma2 = es / (10.0 ** (cfg.esn0_db / 10.0))
         noise = rng.normal(scale=math.sqrt(sigma2 / 2.0), size=(y.size, 2))
         y = y + (noise[:, 0] + 1j * noise[:, 1]).astype(np.complex64)
     return y.astype(np.complex64)
 
 
-def measure_esn0(clean: np.ndarray, noisy: np.ndarray, samples_per_symbol: float = 1.6) -> float:
+def measure_esn0(clean: np.ndarray, noisy: np.ndarray) -> float:
     """Estimate Es/N0 in dB from a clean/noisy pair; +inf when noiseless."""
     clean = np.asarray(clean)
     noisy = np.asarray(noisy)
@@ -86,5 +84,5 @@ def measure_esn0(clean: np.ndarray, noisy: np.ndarray, samples_per_symbol: float
     noise_power = float(np.mean(np.abs(noisy - clean) ** 2))
     if noise_power == 0.0:
         return math.inf
-    signal_power = float(np.mean(np.abs(clean) ** 2))
-    return 10.0 * math.log10(signal_power * samples_per_symbol / noise_power)
+    es = float(np.mean(np.abs(clean) ** 2)) * float(WaveformProfile.samples_per_symbol)
+    return 10.0 * math.log10(es / noise_power)

@@ -41,11 +41,14 @@ def _parse_addr(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def _parse_count(text: str) -> int:
+    if not (text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive count")
+    return int(text)
+
+
 def _parse_workers(text: str) -> list[int]:
-    counts = text.split(",")
-    if not all(c.isdigit() and int(c) > 0 for c in counts):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of counts")
-    return [int(c) for c in counts]
+    return [_parse_count(c) for c in text.split(",")]
 
 
 def cmd_txgen(args) -> int:
@@ -113,13 +116,14 @@ def cmd_demod(args) -> int:
 
 
 def cmd_stitch(args) -> int:
+    spacing = load_numerology(args.profile).frame_samples
     blocks = []
     for path in args.inputs:
         with open(path, "rb") as f:
             blocks.extend(decode_block_stream(f.read()))
     # offline inputs merge by key; the buffer still dedups and logs gaps
     blocks.sort(key=lambda b: b.start_sample_number)
-    buffer = ReorderBuffer(block_spacing=args.block_spacing) if blocks else None
+    buffer = ReorderBuffer(block_spacing=spacing) if blocks else None
     emitted = []
     if buffer is not None:
         for block in blocks:
@@ -227,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("txgen", help="synthesize a framed waveform")
     common(sp)
-    sp.add_argument("--frames", type=int, default=64)
+    sp.add_argument("--frames", type=_parse_count, default=64)
     sp.add_argument("-o", "--output", required=True)
     sp.add_argument("--bits-out", help="also write the packed payload bits")
     sp.set_defaults(func=cmd_txgen)
@@ -248,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     dest = sp.add_mutually_exclusive_group(required=True)
     dest.add_argument("-o", "--output", help="packet wire-format output file")
     dest.add_argument("--udp", action="store_true", help="send over UDP multicast instead")
-    sp.add_argument("--servers", type=int, default=1)
+    sp.add_argument("--servers", type=_parse_count, default=1)
     sp.add_argument("--loss-rate", type=float, default=0.0)
     sp.add_argument("--full-scale", type=float, default=DEFAULT_FULL_SCALE)
     sp.set_defaults(func=cmd_distribute)
@@ -257,25 +261,26 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("-i", "--input", required=True)
     sp.add_argument("-o", "--output", required=True, help="block-message output file")
-    sp.add_argument("--servers", type=int, default=1)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--servers", type=_parse_count, default=1)
+    sp.add_argument("--workers", type=_parse_count, default=1)
     sp.add_argument("--full-scale", type=float, default=DEFAULT_FULL_SCALE)
     sp.set_defaults(func=cmd_demod)
 
     sp = sub.add_parser("stitch", help="reorder decoded-block files into a bitstream")
     sp.add_argument("inputs", nargs="+", help="block-message files")
     sp.add_argument("-o", "--output", required=True, help="output file or - for stdout")
-    sp.add_argument("--block-spacing", type=int, required=True, help="nominal samples per block")
+    sp.add_argument("--profile", default="desk",
+                    help="profile name or path; its frame length is the block spacing")
     sp.set_defaults(func=cmd_stitch)
 
     sp = sub.add_parser("e2e", help="full tx -> channel -> distribute -> demod -> stitch loop")
     common(sp)
-    sp.add_argument("--frames", type=int, default=64)
+    sp.add_argument("--frames", type=_parse_count, default=64)
     sp.add_argument("--esn0", type=float, default=12.0)
     sp.add_argument("--ppm", type=float, default=0.0)
     sp.add_argument("--freq", type=float, default=0.0, help="carrier offset, cycles/SYMBOL")
-    sp.add_argument("--workers", type=int, default=default_workers())
-    sp.add_argument("--servers", type=int, default=1)
+    sp.add_argument("--workers", type=_parse_count, default=default_workers())
+    sp.add_argument("--servers", type=_parse_count, default=1)
     sp.add_argument("--loss-rate", type=float, default=0.0)
     sp.add_argument("--monitor-port", type=int, default=None)
     sp.add_argument("--json", action="store_true")
@@ -284,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="throughput sweep over worker counts")
     common(sp)
     sp.add_argument("--workers", type=_parse_workers, default="1,2,4")
-    sp.add_argument("--chunks", type=int, default=8, help="corpus size (chunks)")
+    sp.add_argument("--chunks", type=_parse_count, default=8, help="corpus size (chunks)")
     sp.add_argument("--seconds", type=float, default=None,
                     help="cycle the corpus for this long per worker count")
     sp.add_argument("--backend", choices=["process", "thread"], default="process")

@@ -201,7 +201,7 @@ class PassthroughCodec:
             raise LengthMismatch(f"{bits.size} info bits, expected {self.k}")
         return bits
 
-    def decode(self, llrs: np.ndarray, early_termination: bool = True):
+    def decode(self, llrs: np.ndarray):
         llrs = np.atleast_2d(llrs)
         bits = (llrs < 0).astype(np.uint8)
         return bits, np.ones(llrs.shape[0], dtype=bool), 0
@@ -375,11 +375,7 @@ def _gf2_inverse(mat: np.ndarray) -> np.ndarray:
     return work[:, m:]
 
 
-def decode_batch(
-    frames: list[SoftFrame],
-    codec,
-    early_termination: bool = True,
-) -> list[DecodedBlock]:
+def decode_batch(frames: list[SoftFrame], codec) -> list[DecodedBlock]:
     """Decode up to 16 soft frames; short batches are padded with all-zero
     codewords (strong bit-0 LLRs) which are suppressed from the output.
 
@@ -395,7 +391,7 @@ def decode_batch(
                 f"frame has {frame.llrs.size} LLRs, codec expects {codec.n}"
             )
         llrs[i] = frame.llrs
-    bits, ok, _ = codec.decode(llrs, early_termination=early_termination)
+    bits, ok, _ = codec.decode(llrs)
     blocks = []
     for i, frame in enumerate(frames):
         failed = not bool(ok[i])

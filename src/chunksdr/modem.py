@@ -9,7 +9,6 @@ for 1.6 samples/symbol) whose taps mirror the receiver's matched filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import gcd
@@ -248,8 +247,6 @@ def pulse_shape(symbols: np.ndarray, profile: WaveformProfile) -> np.ndarray:
     Output sample 0 is symbol 0's center, and the output ends with the last
     symbol's samples, the symbols after it taken as zero.
     """
-    if profile.samples_per_symbol != Fraction(8, 5):
-        raise NotImplementedError("pulse shaping supports 8/5 samples/symbol")
     symbols = np.asarray(symbols, dtype=np.complex64)
     if symbols.size % 5:
         raise LengthNotDivisible(f"symbol count {symbols.size} not divisible by 5")
@@ -266,7 +263,7 @@ def pulse_shape(symbols: np.ndarray, profile: WaveformProfile) -> np.ndarray:
 class TxStream:
     """Ground truth for a generated stream."""
 
-    samples: np.ndarray  # complex64 at samples_per_symbol_in
+    samples: np.ndarray  # complex64 at profile.samples_per_symbol
     symbols: np.ndarray  # complex64 at 1/symbol
     info_bits: np.ndarray  # (n_frames, codec.k) uint8
     profile: WaveformProfile

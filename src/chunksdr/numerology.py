@@ -8,10 +8,11 @@ share across threads and processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
 from .errors import (
     NonIntegerFrameSamples,
@@ -28,15 +29,17 @@ EXTRA_SAMPLE_MARGIN = 8
 class WaveformProfile:
     """Frame geometry plus receiver tuning knobs.
 
-    `samples_per_symbol` is the oversampling of the digitized input stream
-    (rational so that frame boundaries land on integer samples).
+    The input oversampling (8/5, rational so that frame boundaries land on
+    integer samples) and the 8PSK constellation are fixed by the modem and
+    receiver, so they are class constants rather than profile keys.
     """
 
+    samples_per_symbol: ClassVar[Fraction] = Fraction(8, 5)
+    bits_per_symbol: ClassVar[int] = 3
+
     name: str
-    samples_per_symbol: Fraction = Fraction(8, 5)
     preamble_symbols: int = 90
     payload_symbols: int = 21600
-    bits_per_symbol: int = 3
     rolloff: float = 0.25
     max_clock_offset_ppm: float = 10.0
     preamble_seed: int = 2001
@@ -160,12 +163,12 @@ class Numerology:
         return self.profile.frame_samples
 
 
-def build_plan(
+def make_numerology(
     profile: WaveformProfile,
     packet: PacketPlan,
     servers: int = 1,
     groups_per_chunk: int = 17,
-) -> tuple[PacketPlan, ChunkPlan, DistributionPlan]:
+) -> Numerology:
     """Derive and validate the full plan; fails rather than silently rounding."""
     profile.validate()
     if servers < 1:
@@ -203,17 +206,7 @@ def build_plan(
         groups_per_chunk=groups_per_chunk,
         advance_groups=chunk.advance_groups,
     )
-    return packet, chunk, dist
-
-
-def make_numerology(
-    profile: WaveformProfile,
-    packet: PacketPlan,
-    servers: int = 1,
-    groups_per_chunk: int = 17,
-) -> Numerology:
-    pkt, chunk, dist = build_plan(profile, packet, servers, groups_per_chunk)
-    return Numerology(profile=profile, packet=pkt, chunk=chunk, distribution=dist)
+    return Numerology(profile=profile, packet=packet, chunk=chunk, distribution=dist)
 
 
 def group_of_packet(packet_number: int, plan: Numerology) -> int:
@@ -232,10 +225,8 @@ _PACKET_KEYS = ("samples_per_packet", "packets_per_group", "groups_per_chunk")
 
 _PROFILE_PARSERS = {
     "name": str,
-    "samples_per_symbol": Fraction,
     "preamble_symbols": int,
     "payload_symbols": int,
-    "bits_per_symbol": int,
     "rolloff": float,
     "max_clock_offset_ppm": float,
     "preamble_seed": int,
@@ -287,20 +278,3 @@ def load_numerology(name_or_path: str, servers: int = 1) -> Numerology:
     groups = packet_fields.pop("groups_per_chunk", 17)
     packet = PacketPlan(**packet_fields)
     return make_numerology(profile, packet, servers=servers, groups_per_chunk=groups)
-
-
-def paper_profile() -> tuple[WaveformProfile, PacketPlan]:
-    profile, packet_fields = load_profile("paper")
-    packet_fields.pop("groups_per_chunk", None)
-    return profile, PacketPlan(**packet_fields)
-
-
-def desk_profile() -> tuple[WaveformProfile, PacketPlan]:
-    profile, packet_fields = load_profile("desk")
-    packet_fields.pop("groups_per_chunk", None)
-    return profile, PacketPlan(**packet_fields)
-
-
-def scaled_profile(profile: WaveformProfile, **overrides) -> WaveformProfile:
-    """Copy a profile with overrides (used by tests for reduced geometries)."""
-    return replace(profile, **overrides)

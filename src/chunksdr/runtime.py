@@ -335,14 +335,13 @@ def bench(
     entries = []
     for workers in workers_list:
         chunk_times: list[float] = []
-        stage_shares: dict = {}
+        stage_seconds: Counter = Counter()
         done_chunks = 0
         t0 = time.perf_counter()
         while True:
             result = run_pipeline(corpus, ctx, workers=workers, backend=backend)
             chunk_times.extend(result.stats.chunk_seconds)
-            total = sum(result.stats.stage_seconds.values()) or 1.0
-            stage_shares = {k: v / total for k, v in result.stats.stage_seconds.items()}
+            stage_seconds.update(result.stats.stage_seconds)
             done_chunks += len(corpus)
             elapsed = time.perf_counter() - t0
             if seconds is None or elapsed >= seconds:
@@ -350,6 +349,7 @@ def bench(
         sps = done_chunks * advance / elapsed
         period = elapsed / done_chunks
         t_p_max = max(chunk_times) if chunk_times else 0.0
+        total = sum(stage_seconds.values()) or 1.0
         entries.append(
             BenchEntry(
                 workers=workers,
@@ -360,7 +360,7 @@ def bench(
                 t_p_max=t_p_max,
                 chunk_period=period,
                 realtime_ok=workers * period >= t_p_max,
-                stage_shares=stage_shares,
+                stage_shares={k: v / total for k, v in stage_seconds.items()},
             )
         )
     return BenchReport(profile=ctx.plan.profile.name, backend=backend, entries=entries)

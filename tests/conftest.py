@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chunksdr.modem import Constellation8PSK, generate_stream, pulse_shape
-from chunksdr.numerology import make_numerology, paper_profile
+from chunksdr.numerology import load_numerology
 from chunksdr.runtime import ReceiverContext
 
 
@@ -18,8 +18,7 @@ def desk_plan(desk_ctx):
 
 @pytest.fixture(scope="session")
 def paper_plan():
-    profile, packet = paper_profile()
-    return make_numerology(profile, packet, servers=2)
+    return load_numerology("paper", servers=2)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ One test per criterion, each ending with a printed PASS line (run with -s or
 -rA to see them).  Tolerances are fixed here, not calibrated elsewhere.
 """
 
+import dataclasses
 import os
 import time
 
@@ -22,7 +23,7 @@ from chunksdr.e2e import run_e2e
 from chunksdr.fec import DecodedBlock, decode_batch
 from chunksdr.modem import Constellation8PSK, Preamble, build_frame, pulse_shape
 from chunksdr.monitor import MonitorServer, TapSet, monitor_grab
-from chunksdr.numerology import PacketPlan, build_plan, load_profile, scaled_profile
+from chunksdr.numerology import PacketPlan, load_profile, make_numerology
 from chunksdr.runtime import (
     bench,
     make_bench_corpus,
@@ -71,9 +72,9 @@ def test_criterion_2_numerology_exactness():
     assert round(profile.frame_samples / packet.samples_per_packet) == 8
     assert packet.samples_per_group == profile.frame_samples + 112
     for servers in (1, 2, 4):
-        pkt, chunk, dist = build_plan(profile, packet, servers=servers)
-        assert chunk.packets_per_chunk == 136
-        assert dist.total_groups == 16 * servers
+        plan = make_numerology(profile, packet, servers=servers)
+        assert plan.chunk.packets_per_chunk == 136
+        assert plan.distribution.total_groups == 16 * servers
     _report(2, "paper numerology reproduced exactly (S in {1,2,4})")
 
 
@@ -154,7 +155,7 @@ def test_criterion_5_coherent_frame_sync(desk_plan):
     """
     from chunksdr.fec import PassthroughCodec
 
-    profile = scaled_profile(
+    profile = dataclasses.replace(
         desk_plan.profile, preamble_symbols=16, payload_symbols=1034, codec="passthrough"
     )
     f = profile.frame_symbols

@@ -69,7 +69,7 @@ class TestNoise:
     def test_noise_variance_analytic(self):
         """Independent check: the added noise variance matches the formula."""
         x = np.ones(10**6, dtype=np.complex64)
-        cfg = ChannelConfig(esn0_db=3.0, seed=11, samples_per_symbol=1.6)
+        cfg = ChannelConfig(esn0_db=3.0, seed=11)
         y = apply(x, cfg)
         want = 1.6 / 10 ** (3.0 / 10)
         got = float(np.var(y - x))

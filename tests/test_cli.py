@@ -39,6 +39,13 @@ class TestExitCodes:
             ["monitor", "grab", "x", "-o", "{out}", "--addr", "localhost:http"],
             ["bench", "--workers", "1,x"],
             ["bench", "--workers", "0"],
+            ["txgen", "--frames", "0", "-o", "{out}"],
+            ["txgen", "--frames", "-1", "-o", "{out}"],
+            ["e2e", "--frames", "2", "--workers", "0"],
+            ["demod", "-i", "{tx}", "-o", "{out}", "--workers", "0"],
+            ["bench", "--chunks", "0"],
+            ["bench", "--chunks", "-2"],
+            ["distribute", "-i", "{tx}", "-o", "{out}", "--servers", "0"],
         ],
     )
     def test_bad_arguments_exit_2_with_usage(self, argv, tmp_path, capsys):
@@ -80,8 +87,7 @@ class TestFileChain:
         assert main(["channel", "-i", str(tx), "-o", str(rx), "--ppm", "10",
                      "--esn0", "12", "--seed", "6"]) == 0
         assert main(["demod", "--profile", "desk", "-i", str(rx), "-o", str(blocks)]) == 0
-        assert main(["stitch", str(blocks), "-o", str(bits),
-                     "--block-spacing", str(ctx.plan.frame_samples)]) == 0
+        assert main(["stitch", str(blocks), "-o", str(bits), "--profile", "desk"]) == 0
 
         reference = run_e2e(ctx, frames=n_scored, esn0_db=12.0, ppm=10.0, seed=5)
         # the file chain's channel seed is independent; compare recovered info

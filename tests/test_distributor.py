@@ -15,7 +15,7 @@ from chunksdr.distributor import (
     packetize,
     subscribe_and_assemble,
 )
-from chunksdr.numerology import desk_profile, load_numerology, make_numerology
+from chunksdr.numerology import load_numerology
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,7 @@ class TestAssembly:
         assert stats0.chunks_dropped == 0 and stats1.chunks_dropped == 0
 
     def test_single_server_overlap(self, desk_plan):
-        plan = make_numerology(*desk_profile(), servers=1)
+        plan = load_numerology("desk", servers=1)
         n = plan.chunk.advance_packets * 3 + plan.chunk.packets_per_chunk
         rng = np.random.default_rng(1)
         iq = (rng.normal(size=n * 224) + 1j * rng.normal(size=n * 224)).astype(np.complex64) * 0.2
@@ -106,7 +106,7 @@ class TestAssembly:
     def test_missing_packet_erases_its_span_only(self, desk_plan):
         """A lost packet zero-fills its span of the chunk, listed as erased;
         the chunk is handed out once, when its last packet arrives."""
-        plan = make_numerology(*desk_profile(), servers=1)
+        plan = load_numerology("desk", servers=1)
         spp = plan.packet.samples_per_packet
         n = plan.chunk.advance_packets + plan.chunk.packets_per_chunk
         rng = np.random.default_rng(6)
@@ -166,7 +166,7 @@ class TestAssembly:
     def test_assembled_chunk_pickles_at_wire_size(self, desk_plan):
         """A chunk crosses to a process worker as its 8-bit I/Q: at most 2
         bytes per sample plus 1 kB, not complex64's 8."""
-        plan = make_numerology(*desk_profile(), servers=1)
+        plan = load_numerology("desk", servers=1)
         packets = packetize(np.zeros(plan.chunk.chunk_samples, np.complex64), plan).packets
         (chunk,), _ = subscribe_and_assemble(packets, plan, 0)
         assert len(chunk.samples) == plan.chunk.chunk_samples
@@ -177,7 +177,7 @@ class TestAssembly:
     def test_assembled_samples_dequantize_to_joined_payloads(self, paper2, plan_name, full_scale):
         """Dequantized, an assembled chunk is its packets' joined payloads
         dequantized: the samples the feeder used to hand out."""
-        plan = paper2 if plan_name == "paper2" else make_numerology(*desk_profile(), servers=1)
+        plan = paper2 if plan_name == "paper2" else load_numerology("desk", servers=1)
         n = plan.chunk.packets_per_chunk * plan.packet.samples_per_packet
         rng = np.random.default_rng(5)
         iq = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.complex64) * 0.2
@@ -212,7 +212,7 @@ class TestInProcessTransport:
         assert [p.packet_number for p in q1] == list(range(0, 8)) + list(range(128, 264))
 
     def test_loss(self, desk_plan):
-        plan = make_numerology(*desk_profile(), servers=1)
+        plan = load_numerology("desk", servers=1)
         transport = InProcessTransport(plan, loss_rate=0.5, seed=1)
         packets = packetize(np.zeros(100 * 224, np.complex64), plan).packets
         for p in packets:
@@ -221,7 +221,7 @@ class TestInProcessTransport:
         assert 20 < len(got) < 80
 
     def test_queue_depth_drop_oldest(self, desk_plan):
-        plan = make_numerology(*desk_profile(), servers=1)
+        plan = load_numerology("desk", servers=1)
         transport = InProcessTransport(plan, queue_depth=10)
         packets = packetize(np.zeros(20 * 224, np.complex64), plan).packets
         for p in packets:
@@ -285,7 +285,7 @@ class TestUdpMulticast:
     def test_loopback_delivery(self, desk_plan):
         import socket
 
-        plan = make_numerology(*desk_profile(), servers=1)
+        plan = load_numerology("desk", servers=1)
         transport = UdpMulticastTransport(plan, port=24660)
         rx = transport.open_receiver(0, timeout=2.0)
         packets = packetize(np.zeros(8 * 224, np.complex64), plan).packets

@@ -297,7 +297,7 @@ class TestDecodeBatch:
             start_sample_number=0,
             llrs=rng.normal(scale=2.0, size=toy96.n).astype(np.float32),
         )
-        blocks = decode_batch([garbage], toy96, early_termination=True)
+        blocks = decode_batch([garbage], toy96)
         assert len(blocks) == 1
         assert blocks[0].failed
 

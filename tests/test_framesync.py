@@ -1,5 +1,7 @@
 """Coherent frame synchronization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from chunksdr.demod.framesync import coherent_offset, frame_sync
 from chunksdr.errors import NoPeak
 from chunksdr.fec import PassthroughCodec
 from chunksdr.modem import Preamble, build_frame
-from chunksdr.numerology import scaled_profile
+from chunksdr.numerology import load_profile
 
 
 def make_symbol_stream(profile, n_frames, seed=0, lead_symbols=0):
@@ -105,12 +107,10 @@ class TestCoherentGain:
 
     @staticmethod
     def _profile():
-        from chunksdr.numerology import desk_profile
-
-        profile, _ = desk_profile()
+        profile, _ = load_profile("desk")
         # short preamble so the single-frame detector visibly struggles at 0 dB
-        return scaled_profile(profile, preamble_symbols=16, payload_symbols=1034,
-                              codec="passthrough")
+        return replace(profile, preamble_symbols=16, payload_symbols=1034,
+                       codec="passthrough")
 
     def test_detection_rates_at_0db(self):
         profile = self._profile()

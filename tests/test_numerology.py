@@ -14,11 +14,11 @@ from chunksdr.errors import (
 from chunksdr.numerology import (
     PacketPlan,
     WaveformProfile,
-    build_plan,
     first_sample_of_packet,
     group_of_packet,
     load_numerology,
     load_profile,
+    make_numerology,
 )
 
 
@@ -52,8 +52,8 @@ class TestPaperProfile:
     def test_16s_multicast_groups(self, servers):
         profile, packet = load_profile("paper")
         packet.pop("groups_per_chunk", None)
-        _, _, dist = build_plan(profile, PacketPlan(**packet), servers=servers)
-        assert dist.total_groups == 16 * servers
+        plan = make_numerology(profile, PacketPlan(**packet), servers=servers)
+        assert plan.distribution.total_groups == 16 * servers
 
     def test_two_server_subscriptions(self, paper_plan):
         dist = paper_plan.distribution
@@ -93,12 +93,12 @@ class TestValidation:
 
     def test_packet_not_multiple_of_64(self, desk_plan):
         with pytest.raises(PacketNotMultipleOf64):
-            build_plan(desk_plan.profile, PacketPlan(samples_per_packet=100))
+            make_numerology(desk_plan.profile, PacketPlan(samples_per_packet=100))
 
     def test_overlap_too_small(self, desk_plan):
         # 64-sample packets: a group of 512 cannot cover a 1680-sample frame
         with pytest.raises(OverlapTooSmall):
-            build_plan(desk_plan.profile, PacketPlan(samples_per_packet=64))
+            make_numerology(desk_plan.profile, PacketPlan(samples_per_packet=64))
 
     def test_bad_rolloff(self):
         profile = WaveformProfile(name="bad", rolloff=1.5, preamble_symbols=30,
@@ -161,7 +161,7 @@ class TestProfileFiles:
     def test_load_by_path(self, tmp_path):
         p = tmp_path / "custom.profile"
         p.write_text(
-            "name = custom\nsamples_per_symbol = 8/5\npreamble_symbols = 30\n"
+            "name = custom\npreamble_symbols = 30\n"
             "payload_symbols = 1020\nsamples_per_packet = 224\n"
         )
         profile, packet = load_profile(str(p))
@@ -172,8 +172,13 @@ class TestProfileFiles:
         with pytest.raises(NumerologyError):
             load_profile("nonexistent")
 
-    def test_unknown_key(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        ["bogus_key = 1", "samples_per_symbol = 8/5", "bits_per_symbol = 3"],
+        ids=["bogus_key", "samples_per_symbol", "bits_per_symbol"],
+    )
+    def test_unknown_key(self, tmp_path, line):
         p = tmp_path / "bad.profile"
-        p.write_text("name = x\nbogus_key = 1\n")
+        p.write_text(f"name = x\n{line}\n")
         with pytest.raises(NumerologyError):
             load_profile(str(p))

@@ -1,5 +1,6 @@
 """The shipped preamble table, and a receiver that never imports numpy.random."""
 
+import dataclasses
 import importlib.util
 import os
 import pathlib
@@ -12,7 +13,7 @@ import pytest
 
 import chunksdr
 from chunksdr.modem import Preamble, _preamble_quadrants
-from chunksdr.numerology import desk_profile, paper_profile, scaled_profile
+from chunksdr.numerology import load_profile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -23,7 +24,7 @@ def _drawn(n_symbols, seed):
     return np.exp(1j * (np.pi / 4 + np.pi / 2 * quad)).astype(np.complex64)
 
 
-@pytest.mark.parametrize("profile", [desk_profile()[0], paper_profile()[0]], ids=["desk", "paper"])
+@pytest.mark.parametrize("profile", [load_profile("desk")[0], load_profile("paper")[0]], ids=["desk", "paper"])
 def test_shipped_profiles_preamble_unchanged(profile):
     got = Preamble.for_profile(profile).symbols
     assert got.dtype == np.complex64 and got.size == profile.preamble_symbols
@@ -42,7 +43,7 @@ def test_every_table_prefix_is_the_draw():
     "overrides", [{"preamble_seed": 7}, {"preamble_symbols": 120}], ids=["other_seed", "longer"]
 )
 def test_uncovered_seed_or_length_is_drawn(overrides):
-    profile = scaled_profile(desk_profile()[0], **overrides)
+    profile = dataclasses.replace(load_profile("desk")[0], **overrides)
     got = Preamble.for_profile(profile).symbols
     assert got.tobytes() == _drawn(profile.preamble_symbols, profile.preamble_seed).tobytes()
 

@@ -2,6 +2,7 @@
 
 import json
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -385,6 +386,23 @@ class TestBench:
         report = bench(desk_ctx, [1], n_chunks=3, backend=backend, seed=2)
         shares = report.entries[0].stage_shares
         assert abs(sum(shares.values()) - 1.0) <= 0.01
+
+    def test_stage_shares_cover_every_pass(self, desk_ctx, monkeypatch):
+        """With `seconds`, the shares are those of the stage seconds summed
+        over all passes, not the last pass's."""
+        passes = iter([{"timing": 3.0, "fec": 1.0}, {"timing": 1.0, "fec": 3.0}])
+
+        def fake_run(corpus, ctx, workers, backend):
+            stats = runtime.RunStats(stage_seconds=next(passes), chunk_seconds=[0.1, 0.1])
+            return runtime.PipelineResult(blocks=[], stats=stats)
+
+        clock = iter([0.0, 1.0, 2.0])
+        monkeypatch.setattr(runtime, "make_bench_corpus", lambda ctx, n, seed: ["c0", "c1"])
+        monkeypatch.setattr(runtime, "run_pipeline", fake_run)
+        monkeypatch.setattr(runtime, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        (entry,) = bench(desk_ctx, [1], seconds=1.5).entries
+        assert entry.chunks == 4
+        assert entry.stage_shares == {"timing": 0.5, "fec": 0.5}
 
     def test_default_workers_reserves_two_cores(self, monkeypatch):
         import os

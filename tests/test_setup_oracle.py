@@ -13,7 +13,6 @@ use; every output must be identical to the bit.
 """
 
 import dataclasses
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,9 +225,8 @@ def test_pulse_shape_rejects_what_the_reference_rejects(desk_plan):
             _ref_pulse_shape(np.ones(n, np.complex64), profile)
         with pytest.raises(LengthNotDivisible):
             pulse_shape(np.ones(n, np.complex64), profile)
-    other = dataclasses.replace(profile, samples_per_symbol=Fraction(2))
-    with pytest.raises(NotImplementedError):
-        pulse_shape(np.ones(10, np.complex64), other)
+    with pytest.raises(TypeError):
+        dataclasses.replace(profile, samples_per_symbol=2)
 
 
 @pytest.mark.parametrize("full_scale", [1.0, 4.0, 0.3])

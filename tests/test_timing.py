@@ -65,9 +65,9 @@ class TestGardnerTed:
 
 
 def rx_taps_for_test():
-    from chunksdr.numerology import desk_profile
+    from chunksdr.numerology import load_profile
 
-    profile, _ = desk_profile()
+    profile, _ = load_profile("desk")
     return rx_taps(profile)
 
 

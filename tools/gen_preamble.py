@@ -28,10 +28,10 @@ HEADER = """\
 
 def table_text() -> str:
     sys.path.insert(0, str(SRC))
-    from chunksdr.numerology import desk_profile, paper_profile
+    from chunksdr.numerology import load_profile
 
     longest: dict[int, int] = {}
-    for profile, _packet in (desk_profile(), paper_profile()):
+    for profile, _packet in map(load_profile, ("desk", "paper")):
         seed = profile.preamble_seed
         longest[seed] = max(longest.get(seed, 0), profile.preamble_symbols)
     lines = [
