@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParseError
 from .fec import DecodedBlock
 
 SEQUENTIAL_WINDOW_BLOCKS = 17
@@ -129,16 +130,20 @@ def encode_block(block: DecodedBlock) -> bytes:
 
 
 def decode_block_stream(data: bytes):
-    """Yield DecodedBlocks from a concatenated message stream."""
+    """Yield DecodedBlocks from a concatenated message stream; a block cut
+    short raises ParseError naming the byte offset where it starts."""
     offset = 0
     while offset < len(data):
         if len(data) - offset < _HEADER.size:
-            raise ValueError("truncated block header")
+            raise ParseError(f"truncated block header at byte {offset}")
         start, n_bits, flags = _HEADER.unpack_from(data, offset)
-        offset += _HEADER.size
         n_bytes = (n_bits + 7) // 8
-        if len(data) - offset < n_bytes:
-            raise ValueError("truncated block payload")
+        left = len(data) - offset - _HEADER.size
+        if left < n_bytes:
+            raise ParseError(
+                f"truncated block payload at byte {offset}: {n_bytes} bytes declared, {left} left"
+            )
+        offset += _HEADER.size
         bits = np.unpackbits(np.frombuffer(data, np.uint8, n_bytes, offset))[:n_bits]
         offset += n_bytes
         yield DecodedBlock(

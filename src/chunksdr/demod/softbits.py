@@ -1,8 +1,9 @@
 """Symbol-to-soft-decision mapping.
 
 Each 8PSK payload symbol maps to three max-log LLRs which are then
-deinterleaved (the inverse of the transmit block interleaver).  Sign
-convention: positive LLR means bit 0 is more likely.
+deinterleaved (the inverse of the transmit block interleaver) and taken out
+of the transmit codeword order.  Sign convention: positive LLR means bit 0
+is more likely.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import LengthMismatch
-from ..modem import Constellation8PSK, deinterleave
+from ..modem import Constellation8PSK, deinterleave, unorder_codeword
 
 _CONST = Constellation8PSK()
 _POINTS = _CONST.points
@@ -27,8 +28,8 @@ class SoftFrame:
     """One frame's soft decisions, keyed by its transmit-time boundary."""
 
     start_sample_number: int
-    llrs: np.ndarray  # float32, payload_symbols * 3, deinterleaved
-    erased: np.ndarray | None = None  # bool per LLR, deinterleaved; None: no erasure
+    llrs: np.ndarray  # float32, payload_symbols * 3, in codeword order
+    erased: np.ndarray | None = None  # bool per LLR, in codeword order; None: no erasure
 
 
 def llr_map(symbols: np.ndarray, noise_var: float) -> np.ndarray:
@@ -53,11 +54,13 @@ def llr_map_deinterleave(
     columns: int = 3,
     erased: np.ndarray | None = None,
 ) -> SoftFrame:
-    """LLRs for one frame's payload, deinterleaved into codeword order.
+    """LLRs for one frame's payload, in codeword order: deinterleaved, then
+    taken out of the transmit order (`modem.unorder_codeword`).
 
     Symbols marked in the optional `erased` mask carry no information: their
     LLRs are 0, and the frame keeps the erased LLR positions in codeword
-    order for the decoder.
+    order for the decoder.  The transmit order scatters a run of erased
+    symbols over the whole codeword.
     """
     payload_symbols = np.asarray(payload_symbols)
     if expected_symbols is not None and payload_symbols.size != expected_symbols:
@@ -68,9 +71,9 @@ def llr_map_deinterleave(
     erased_bits = None
     if erased is not None and erased.any():
         llrs[erased] = 0.0
-        erased_bits = deinterleave(np.repeat(erased, llrs.shape[1]), columns)
+        erased_bits = unorder_codeword(deinterleave(np.repeat(erased, llrs.shape[1]), columns))
     return SoftFrame(
         start_sample_number=start_sample_number,
-        llrs=deinterleave(llrs.reshape(-1), columns).astype(np.float32),
+        llrs=unorder_codeword(deinterleave(llrs.reshape(-1), columns)),
         erased=erased_bits,
     )

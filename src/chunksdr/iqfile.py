@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ParseError
+
 FULL_SCALE_INT8 = 127
 SC8 = np.dtype([("i", "i1"), ("q", "i1")])
 # float32 components per block of the quantizer and the clip counter: their
@@ -24,6 +26,11 @@ def write_cf32(path: str | Path, samples: np.ndarray) -> None:
 
 
 def read_cf32(path: str | Path) -> np.ndarray:
+    """A whole cf32 file; a size that is not a whole number of 8-byte
+    samples raises ParseError."""
+    size = Path(path).stat().st_size
+    if size % 8:
+        raise ParseError(f"{path}: {size} bytes is not a whole number of 8-byte cf32 samples")
     return np.fromfile(path, dtype="<c8").astype(np.complex64, copy=False)
 
 

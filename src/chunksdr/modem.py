@@ -1,9 +1,10 @@
 """Transmit side: framing, 8PSK mapping, and RRC pulse shaping.
 
 The waveform is a continuous sequence of fixed-length frames, each a fixed
-preamble followed by one interleaved FEC codeword mapped to 8PSK.  The pulse
-shaper is a polyphase interpolator to the rational input oversampling (8/5
-for 1.6 samples/symbol) whose taps mirror the receiver's matched filter.
+preamble followed by one FEC codeword, put in the codeword order, interleaved
+and mapped to 8PSK.  The pulse shaper is a polyphase interpolator to the
+rational input oversampling (8/5 for 1.6 samples/symbol) whose taps mirror
+the receiver's matched filter.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LengthMismatch, LengthNotDivisible
-from .numerology import WaveformProfile
+from .numerology import CODEWORD_ORDER_MULTIPLIER, WaveformProfile
 
 RRC_TAPS = 81
 INTERNAL_SPS = 8  # taps are designed at 8 samples/symbol; TX runs 8 up / 5 down
@@ -115,8 +116,41 @@ def deinterleave(values: np.ndarray, columns: int = 3) -> np.ndarray:
     return values.reshape(-1, columns).T.ravel()
 
 
+@lru_cache(maxsize=8)
+def codeword_order(n: int) -> np.ndarray:
+    """The codeword bit each of n transmit positions carries: position p
+    carries bit a * p mod n, a = ``CODEWORD_ORDER_MULTIPLIER``.
+
+    A lost packet erases a contiguous run of symbols, so after `interleave`
+    alone a run of bits in each column, mostly along the code's accumulator
+    chain, which min-sum clears about one bit per iteration from each end.
+    In this order the run lands on bits spread over the whole word, which
+    the checks determine in a few iterations.  It is a permutation because
+    n, a profile's payload bits, is coprime with a (`WaveformProfile.validate`).
+    """
+    order = np.arange(n, dtype=np.intp) * CODEWORD_ORDER_MULTIPLIER % n
+    order.flags.writeable = False
+    return order
+
+
+def order_codeword(bits: np.ndarray) -> np.ndarray:
+    """A codeword in transmit order: position p holds bit ``codeword_order(n)[p]``."""
+    bits = np.asarray(bits)
+    return bits[codeword_order(bits.size)]
+
+
+def unorder_codeword(values: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`order_codeword`; works on bits or soft values."""
+    values = np.asarray(values)
+    out = np.empty_like(values)
+    out[codeword_order(values.size)] = values
+    return out
+
+
 def build_frame(payload_bits: np.ndarray, profile: WaveformProfile, codec) -> np.ndarray:
-    """One frame of symbols: preamble, then the interleaved, mapped codeword."""
+    """One frame of symbols: the preamble, then the codeword put in the
+    codeword order (:func:`order_codeword`), interleaved across the bit
+    positions of its symbols, and mapped to 8PSK."""
     payload_bits = np.asarray(payload_bits, dtype=np.uint8)
     if payload_bits.size != codec.k:
         raise LengthMismatch(
@@ -128,7 +162,9 @@ def build_frame(payload_bits: np.ndarray, profile: WaveformProfile, codec) -> np
             f"codeword of {codeword.size} bits does not fill "
             f"{profile.payload_bits} payload bits"
         )
-    mapped = Constellation8PSK().map_bits(interleave(codeword, profile.bits_per_symbol))
+    mapped = Constellation8PSK().map_bits(
+        interleave(order_codeword(codeword), profile.bits_per_symbol)
+    )
     preamble = Preamble.for_profile(profile)
     return np.concatenate([preamble.symbols, mapped]).astype(np.complex64)
 

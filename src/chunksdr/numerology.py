@@ -24,6 +24,11 @@ from .errors import (
 # Extra interpolator-flush samples on top of the clock-slack bound.
 EXTRA_SAMPLE_MARGIN = 8
 
+# Transmit position p of an n-bit codeword carries bit (a * p mod n), with a
+# this multiplier (see `modem.codeword_order`): a permutation whenever a and n
+# are coprime, which, a being prime, is every n it does not divide.
+CODEWORD_ORDER_MULTIPLIER = 1013
+
 
 @dataclass(frozen=True)
 class WaveformProfile:
@@ -71,6 +76,11 @@ class WaveformProfile:
             raise NumerologyError(f"rolloff {self.rolloff} outside (0, 1]")
         if self.preamble_symbols <= 0 or self.payload_symbols <= 0:
             raise NumerologyError("frame must have preamble and payload symbols")
+        if math.gcd(self.payload_bits, CODEWORD_ORDER_MULTIPLIER) != 1:
+            raise NumerologyError(
+                f"payload of {self.payload_bits} bits shares a factor with the "
+                f"codeword order multiplier {CODEWORD_ORDER_MULTIPLIER}"
+            )
         self.frame_samples  # raises NonIntegerFrameSamples
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chunksdr.combiner import ReorderBuffer, decode_block_stream, encode_block
+from chunksdr.errors import ParseError
 from chunksdr.fec import DecodedBlock
 
 S = 1000  # nominal block spacing for these tests
@@ -290,5 +291,5 @@ class TestFraming:
     def test_truncated_stream(self):
         b = block(0)
         data = encode_block(b)[:-2]
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             list(decode_block_stream(data))

@@ -172,6 +172,13 @@ class TestProfileFiles:
         with pytest.raises(NumerologyError):
             load_profile("nonexistent")
 
+    def test_payload_sharing_a_factor_with_the_codeword_order(self, tmp_path):
+        """1013 * 3 payload bits: a * p mod n would repeat codeword bits."""
+        p = tmp_path / "bad.profile"
+        p.write_text("name = x\npreamble_symbols = 32\npayload_symbols = 1013\n")
+        with pytest.raises(NumerologyError, match="codeword order multiplier 1013"):
+            load_profile(str(p))
+
     @pytest.mark.parametrize(
         "line",
         ["bogus_key = 1", "samples_per_symbol = 8/5", "bits_per_symbol = 3"],

@@ -5,7 +5,7 @@ import pytest
 
 from chunksdr.demod.softbits import llr_map, llr_map_deinterleave
 from chunksdr.errors import LengthMismatch
-from chunksdr.modem import interleave
+from chunksdr.modem import interleave, order_codeword
 from dsp_refs import slice_8psk
 
 
@@ -51,7 +51,7 @@ class TestDeinterleave:
         codeword order."""
         rng = np.random.default_rng(2)
         bits = rng.integers(0, 2, 3 * 340).astype(np.uint8)
-        symbols = constellation.map_bits(interleave(bits, 3))
+        symbols = constellation.map_bits(interleave(order_codeword(bits), 3))
         frame = llr_map_deinterleave(symbols, noise_var=0.01)
         hard = (frame.llrs < 0).astype(np.uint8)
         np.testing.assert_array_equal(hard, bits)
