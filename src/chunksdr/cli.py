@@ -51,6 +51,18 @@ def _parse_workers(text: str) -> list[int]:
     return [_parse_count(c) for c in text.split(",")]
 
 
+def _parse_seconds(text: str) -> float:
+    if not 0 < float(text) < float("inf"):  # also rejects nan
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return float(text)
+
+
+def _parse_probability(text: str) -> float:
+    if not 0 <= float(text) <= 1:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"{text!r} is not a probability in [0, 1]")
+    return float(text)
+
+
 def cmd_txgen(args) -> int:
     ctx = ReceiverContext.build(args.profile)
     stream = generate_stream(ctx.plan.profile, ctx.codec, args.frames, seed=args.seed)
@@ -183,22 +195,21 @@ def cmd_e2e(args) -> int:
 
 def cmd_bench(args) -> int:
     ctx = ReceiverContext.build(args.profile)
-    report = bench(ctx, args.workers, n_chunks=args.chunks, backend=args.backend,
-                   seed=args.seed, seconds=args.seconds)
+    report = bench(ctx, args.workers, n_chunks=args.chunks, seed=args.seed, seconds=args.seconds)
+    if args.out == "-":
+        print(report.to_json())
+        return 0
     if args.out:
         with open(args.out, "w") as f:
-            f.write(report.to_json())
-    if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(report.to_csv())
-    if args.json:
-        print(report.to_json())
-    else:
-        for e in report.entries:
-            print(
-                f"workers={e.workers} throughput={e.input_samples_per_second/1e6:.2f} Msps "
-                f"t_p={e.t_p_mean*1e3:.0f}ms realtime_ok={e.realtime_ok}"
-            )
+            f.write(report.to_json() + "\n")
+    for row in report.rows:
+        c = row["chunk_ms"]
+        print(
+            f"{row['backend']} workers={row['workers']} passes={row['passes']} "
+            f"throughput={row['input_samples_per_second']/1e6:.2f} Msps "
+            f"chunk_ms={c['mean']:.1f} (p90 {c['p90']:.1f}, max {c['max']:.1f}) "
+            + " ".join(f"{stage}={ms:.1f}" for stage, ms in row["stage_ms"].items())
+        )
     return 0
 
 
@@ -253,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     dest.add_argument("-o", "--output", help="packet wire-format output file")
     dest.add_argument("--udp", action="store_true", help="send over UDP multicast instead")
     sp.add_argument("--servers", type=_parse_count, default=1)
-    sp.add_argument("--loss-rate", type=float, default=0.0)
+    sp.add_argument("--loss-rate", type=_parse_probability, default=0.0)
     sp.add_argument("--full-scale", type=float, default=DEFAULT_FULL_SCALE)
     sp.set_defaults(func=cmd_distribute)
 
@@ -281,21 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--freq", type=float, default=0.0, help="carrier offset, cycles/SYMBOL")
     sp.add_argument("--workers", type=_parse_count, default=default_workers())
     sp.add_argument("--servers", type=_parse_count, default=1)
-    sp.add_argument("--loss-rate", type=float, default=0.0)
+    sp.add_argument("--loss-rate", type=_parse_probability, default=0.0)
     sp.add_argument("--monitor-port", type=int, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_e2e)
 
-    sp = sub.add_parser("bench", help="throughput sweep over worker counts")
+    sp = sub.add_parser("bench", help="per-stage sweep over both backends and worker counts")
     common(sp)
     sp.add_argument("--workers", type=_parse_workers, default="1,2,4")
     sp.add_argument("--chunks", type=_parse_count, default=8, help="corpus size (chunks)")
-    sp.add_argument("--seconds", type=float, default=None,
-                    help="cycle the corpus for this long per worker count")
-    sp.add_argument("--backend", choices=["process", "thread"], default="process")
-    sp.add_argument("--out", help="JSON report path")
-    sp.add_argument("--csv", help="CSV report path")
-    sp.add_argument("--json", action="store_true")
+    sp.add_argument("--seconds", type=_parse_seconds, default=None,
+                    help="cycle the corpus for this long per backend and worker count")
+    sp.add_argument("--out", help="JSON report path, or - for stdout")
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("monitor", help="query a running monitor endpoint")
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     mls.set_defaults(func=cmd_monitor)
     mgrab = msub.add_parser("grab")
     mgrab.add_argument("name")
-    mgrab.add_argument("-n", "--count", type=int, default=4096)
+    mgrab.add_argument("-n", "--count", type=_parse_count, default=4096)
     mgrab.add_argument("-o", "--output", required=True)
     mgrab.add_argument("--addr", type=_parse_addr, required=True)
     mgrab.set_defaults(func=cmd_monitor)

@@ -9,8 +9,7 @@ counters are identical for any worker count and either backend.
 
 Threads carry live monitor taps, since the monitor serves from this
 process.  Forked processes inherit the context and sidestep the GIL that
-the Python-level tracking loops hold, so the throughput benchmark defaults
-to them.
+the Python-level tracking loops hold.  The benchmark harness measures both.
 """
 
 from __future__ import annotations
@@ -250,48 +249,20 @@ def run_pipeline_processes(
 # -- benchmark harness ----------------------------------------------------------
 
 
-@dataclass
-class BenchEntry:
-    workers: int
-    chunks: int
-    seconds: float
-    input_samples_per_second: float
-    t_p_mean: float
-    t_p_max: float
-    chunk_period: float
-    realtime_ok: bool
-    stage_shares: dict
-
-    def row(self) -> dict:
-        d = dict(self.__dict__)
-        d["stage_shares"] = {k: round(v, 4) for k, v in self.stage_shares.items()}
-        return d
+_STAGES = ("resample", "timing", "phase", "framesync", "softbits", "fec")
 
 
 @dataclass
 class BenchReport:
-    profile: str
-    backend: str
-    entries: list[BenchEntry]
+    """One `bench` sweep: the machine, the corpus, and a row per backend and
+    worker count."""
+
+    machine: dict
+    corpus: dict
+    rows: list[dict]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "profile": self.profile,
-                "backend": self.backend,
-                "entries": [e.row() for e in self.entries],
-            },
-            indent=2,
-        )
-
-    def to_csv(self) -> str:
-        lines = ["workers,chunks,seconds,input_sps,t_p_mean,t_p_max,chunk_period,realtime_ok"]
-        for e in self.entries:
-            lines.append(
-                f"{e.workers},{e.chunks},{e.seconds:.4f},{e.input_samples_per_second:.0f},"
-                f"{e.t_p_mean:.4f},{e.t_p_max:.4f},{e.chunk_period:.4f},{int(e.realtime_ok)}"
-            )
-        return "\n".join(lines) + "\n"
+        return json.dumps(self.__dict__, indent=2)
 
 
 def default_workers() -> int:
@@ -321,46 +292,60 @@ def bench(
     ctx: ReceiverContext,
     workers_list: list[int],
     n_chunks: int = 8,
-    backend: str = "process",
     seed: int = 0,
     seconds: float | None = None,
 ) -> BenchReport:
-    """Throughput sweep over worker counts on a precomputed in-memory corpus.
+    """Throughput sweep over worker counts, on the thread backend and then on
+    the process backend, on a precomputed in-memory corpus.
 
     With `seconds` set, the corpus is cycled until that much wall time has
-    elapsed per worker count; otherwise each sweep point runs one pass.
+    elapsed per sweep point; otherwise each point runs one pass.  A row's
+    `stage_ms` is each stage's time summed over every pass, per chunk run.
     """
+    import platform
+
     corpus = make_bench_corpus(ctx, n_chunks, seed=seed)
-    advance = ctx.plan.chunk.advance_samples
-    entries = []
-    for workers in workers_list:
-        chunk_times: list[float] = []
-        stage_seconds: Counter = Counter()
-        done_chunks = 0
-        t0 = time.perf_counter()
-        while True:
-            result = run_pipeline(corpus, ctx, workers=workers, backend=backend)
-            chunk_times.extend(result.stats.chunk_seconds)
-            stage_seconds.update(result.stats.stage_seconds)
-            done_chunks += len(corpus)
-            elapsed = time.perf_counter() - t0
-            if seconds is None or elapsed >= seconds:
-                break
-        sps = done_chunks * advance / elapsed
-        period = elapsed / done_chunks
-        t_p_max = max(chunk_times) if chunk_times else 0.0
-        total = sum(stage_seconds.values()) or 1.0
-        entries.append(
-            BenchEntry(
-                workers=workers,
-                chunks=done_chunks,
-                seconds=elapsed,
-                input_samples_per_second=sps,
-                t_p_mean=float(np.mean(chunk_times)) if chunk_times else 0.0,
-                t_p_max=t_p_max,
-                chunk_period=period,
-                realtime_ok=workers * period >= t_p_max,
-                stage_shares={k: v / total for k, v in stage_seconds.items()},
-            )
-        )
-    return BenchReport(profile=ctx.plan.profile.name, backend=backend, entries=entries)
+    geometry = ctx.plan.chunk
+    rows = []
+    for backend in ("thread", "process"):
+        for workers in workers_list:
+            chunk_times: list[float] = []
+            stage_seconds: Counter = Counter()
+            passes = 0
+            t0 = time.perf_counter()
+            while True:
+                result = run_pipeline(corpus, ctx, workers=workers, backend=backend)
+                chunk_times.extend(result.stats.chunk_seconds)
+                stage_seconds.update(result.stats.stage_seconds)
+                passes += 1
+                elapsed = time.perf_counter() - t0
+                if seconds is None or elapsed >= seconds:
+                    break
+            done = passes * len(corpus)
+            ms = np.array(chunk_times or [0.0]) * 1e3
+            rows.append({
+                "backend": backend,
+                "workers": workers,
+                "passes": passes,
+                "chunks": done,
+                "input_samples_per_second": done * geometry.advance_samples / elapsed,
+                "chunk_ms": {"mean": ms.mean(), "p90": np.percentile(ms, 90), "max": ms.max()},
+                "stage_ms": {stage: stage_seconds[stage] * 1e3 / done for stage in _STAGES},
+            })
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    machine = {
+        "cpu_count": os.cpu_count(),
+        "affinity_cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_threads": {name: os.environ[name] for name in blas if name in os.environ},
+    }
+    corpus_block = {
+        "profile": ctx.plan.profile.name,
+        "esn0_db": 12.0,  # as `make_bench_corpus` draws it
+        "seed": seed,
+        "chunks": n_chunks,
+        "chunk_samples": geometry.chunk_samples,
+        "advance_samples": geometry.advance_samples,
+    }
+    return BenchReport(machine=machine, corpus=corpus_block, rows=rows)

@@ -276,8 +276,9 @@ def test_criterion_7_scaling_and_determinism(desk_ctx):
 
     cores = os.cpu_count() or 1
     if cores >= 4:
-        report = bench(desk_ctx, [1, 4], n_chunks=8, backend="process", seed=7)
-        sps = {e.workers: e.input_samples_per_second for e in report.entries}
+        report = bench(desk_ctx, [1, 4], n_chunks=8, seed=7)
+        sps = {r["workers"]: r["input_samples_per_second"]
+               for r in report.rows if r["backend"] == "process"}
         ratio = sps[4] / sps[1]
         assert ratio >= 1.5, f"4-worker speedup only {ratio:.2f}x"
         _report(7, f"deterministic across worker counts; 4-worker speedup {ratio:.2f}x")

@@ -46,6 +46,14 @@ class TestExitCodes:
             ["bench", "--chunks", "0"],
             ["bench", "--chunks", "-2"],
             ["distribute", "-i", "{tx}", "-o", "{out}", "--servers", "0"],
+            ["bench", "--seconds", "nan"],
+            ["bench", "--seconds", "0"],
+            ["bench", "--seconds", "-1"],
+            ["e2e", "--loss-rate", "nan"],
+            ["e2e", "--loss-rate", "-0.1"],
+            ["distribute", "-i", "{tx}", "-o", "{out}", "--loss-rate", "1.5"],
+            ["monitor", "grab", "x", "-o", "{out}", "--addr", "localhost:1", "-n", "0"],
+            ["monitor", "grab", "x", "-o", "{out}", "--addr", "localhost:1", "-n", "-3"],
         ],
     )
     def test_bad_arguments_exit_2_with_usage(self, argv, tmp_path, capsys):
@@ -195,13 +203,17 @@ class TestJsonOutputs:
         )
 
     def test_bench_json_and_files(self, tmp_path, capsys):
-        rc = main(["bench", "--profile", "desk", "--workers", "1", "--chunks", "2",
-                   "--backend", "thread", "--json",
-                   "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")])
-        assert rc == 0
+        argv = ["bench", "--profile", "desk", "--workers", "1", "--chunks", "2", "--out"]
+        assert main(argv + [str(tmp_path / "r.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [["thread", "workers=1"],
+                                                        ["process", "workers=1"]]
         report = json.loads((tmp_path / "r.json").read_text())
-        assert report["entries"][0]["workers"] == 1
-        assert (tmp_path / "r.csv").read_text().startswith("workers,")
+        assert [r["workers"] for r in report["rows"]] == [1, 1]
+        assert main(argv + ["-"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"machine", "corpus", "rows"}
+        assert [r["backend"] for r in report["rows"]] == ["thread", "process"]
 
 
 class TestEntrypoint:

@@ -1,4 +1,5 @@
-"""The shipped preamble table, and a receiver that never imports numpy.random."""
+"""The shipped preamble table, and a receiver that never imports numpy.random
+or, until a process pool is asked for, multiprocessing."""
 
 import dataclasses
 import importlib.util
@@ -67,6 +68,21 @@ def test_receiver_imports_no_numpy_random():
         "InProcessTransport(ctx.plan)\n"
         "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
     )
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_runtime_import_loads_no_process_pool():
+    """`run_pipeline` imports the process pool only when asked for it."""
+    code = (
+        "import sys\n"
+        "import chunksdr.runtime\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+    )
+    assert _fresh_interpreter(code) == "[]"
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Run `code` in a new interpreter that imports this checkout; its stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(chunksdr.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -74,4 +90,4 @@ def test_receiver_imports_no_numpy_random():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()

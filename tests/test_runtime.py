@@ -370,39 +370,62 @@ class TestProcessBackend:
         np.testing.assert_array_equal(_bitstream(shuffled), _bitstream(ascending))
 
 
+STAGES = ["resample", "timing", "phase", "framesync", "softbits", "fec"]
+
+
 class TestBench:
     def test_report_shapes_and_serialization(self, desk_ctx):
-        report = bench(desk_ctx, [1, 2], n_chunks=3, backend="thread", seed=1)
-        assert [e.workers for e in report.entries] == [1, 2]
+        report = bench(desk_ctx, [1, 2], n_chunks=3, seed=1)
+        assert [(r["backend"], r["workers"]) for r in report.rows] == [
+            ("thread", 1), ("thread", 2), ("process", 1), ("process", 2)
+        ]
         loaded = json.loads(report.to_json())
-        assert loaded["profile"] == "desk"
-        assert len(loaded["entries"]) == 2
-        csv = report.to_csv()
-        assert csv.splitlines()[0].startswith("workers,")
-        assert len(csv.splitlines()) == 3
+        assert loaded["corpus"]["profile"] == "desk"
+        assert len(loaded["rows"]) == 4
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_stage_shares_sum_to_one(self, desk_ctx, backend):
-        report = bench(desk_ctx, [1], n_chunks=3, backend=backend, seed=2)
-        shares = report.entries[0].stage_shares
-        assert abs(sum(shares.values()) - 1.0) <= 0.01
+    def test_stage_ms_add_up_to_chunk_ms(self, desk_ctx):
+        """One row per backend with the full schema; the stages cover all of
+        a chunk's time but the untimed call overhead."""
+        report = bench(desk_ctx, [1], n_chunks=2, seed=2)
+        assert set(report.machine) == {"cpu_count", "affinity_cores", "python", "numpy",
+                                       "blas_threads"}
+        plan = desk_ctx.plan
+        assert report.corpus == {
+            "profile": "desk", "esn0_db": 12.0, "seed": 2, "chunks": 2,
+            "chunk_samples": plan.chunk.chunk_samples,
+            "advance_samples": plan.chunk.advance_samples,
+        }
+        assert [r["backend"] for r in report.rows] == ["thread", "process"]
+        for row in report.rows:
+            assert (row["workers"], row["passes"], row["chunks"]) == (1, 1, 2)
+            assert row["input_samples_per_second"] > 0
+            assert set(row["chunk_ms"]) == {"mean", "p90", "max"}
+            assert list(row["stage_ms"]) == STAGES
+            total, mean = sum(row["stage_ms"].values()), row["chunk_ms"]["mean"]
+            assert 0.95 * mean <= total <= mean, row
 
-    def test_stage_shares_cover_every_pass(self, desk_ctx, monkeypatch):
-        """With `seconds`, the shares are those of the stage seconds summed
-        over all passes, not the last pass's."""
-        passes = iter([{"timing": 3.0, "fec": 1.0}, {"timing": 1.0, "fec": 3.0}])
+    def test_stage_ms_cover_every_pass(self, desk_ctx, monkeypatch):
+        """With `seconds`, a stage's ms per chunk is its time summed over all
+        passes, not the last pass's."""
+        passes = iter(2 * [{"timing": 0.3, "fec": 0.1}, {"timing": 0.1, "fec": 0.5}])
 
         def fake_run(corpus, ctx, workers, backend):
-            stats = runtime.RunStats(stage_seconds=next(passes), chunk_seconds=[0.1, 0.1])
+            stats = runtime.RunStats(stage_seconds=next(passes), chunk_seconds=[0.1, 0.2])
             return runtime.PipelineResult(blocks=[], stats=stats)
 
-        clock = iter([0.0, 1.0, 2.0])
+        clock = iter([0.0, 1.0, 2.0, 2.0, 3.0, 4.0])
         monkeypatch.setattr(runtime, "make_bench_corpus", lambda ctx, n, seed: ["c0", "c1"])
         monkeypatch.setattr(runtime, "run_pipeline", fake_run)
         monkeypatch.setattr(runtime, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
-        (entry,) = bench(desk_ctx, [1], seconds=1.5).entries
-        assert entry.chunks == 4
-        assert entry.stage_shares == {"timing": 0.5, "fec": 0.5}
+        rows = bench(desk_ctx, [1], seconds=1.5).rows
+        assert [r["backend"] for r in rows] == ["thread", "process"]
+        for row in rows:
+            assert (row["passes"], row["chunks"]) == (2, 4)
+            assert row["input_samples_per_second"] == 4 * desk_ctx.plan.chunk.advance_samples / 2.0
+            assert row["chunk_ms"]["max"] == pytest.approx(200.0)
+            assert row["chunk_ms"]["mean"] == pytest.approx(150.0)
+            expected = dict.fromkeys(STAGES, 0.0) | {"timing": 100.0, "fec": 150.0}
+            assert row["stage_ms"] == pytest.approx(expected)
 
     def test_default_workers_reserves_two_cores(self, monkeypatch):
         import os
