@@ -404,6 +404,15 @@ class TestBench:
             total, mean = sum(row["stage_ms"].values()), row["chunk_ms"]["mean"]
             assert 0.95 * mean <= total <= mean, row
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_stage_shares_sum_to_one(self, desk_ctx, backend):
+        """Each stage's share of a chunk's mean time; on either backend the
+        shares sum to one but for the untimed call overhead."""
+        report = bench(desk_ctx, [1], n_chunks=3, seed=2)
+        (row,) = [r for r in report.rows if r["backend"] == backend]
+        shares = {s: ms / row["chunk_ms"]["mean"] for s, ms in row["stage_ms"].items()}
+        assert 0.95 <= sum(shares.values()) <= 1.0, shares
+
     def test_stage_ms_cover_every_pass(self, desk_ctx, monkeypatch):
         """With `seconds`, a stage's ms per chunk is its time summed over all
         passes, not the last pass's."""
