@@ -203,10 +203,11 @@ def cmd_bench(args) -> int:
         with open(args.out, "w") as f:
             f.write(report.to_json() + "\n")
     for row in report.rows:
-        c = row["chunk_ms"]
+        c, q = row["chunk_ms"], row["pass_samples_per_second"]
         print(
             f"{row['backend']} workers={row['workers']} passes={row['passes']} "
             f"throughput={row['input_samples_per_second']/1e6:.2f} Msps "
+            f"(passes {q['p25']/1e6:.2f}-{q['p75']/1e6:.2f}) "
             f"chunk_ms={c['mean']:.1f} (p90 {c['p90']:.1f}, max {c['max']:.1f}) "
             + " ".join(f"{stage}={ms:.1f}" for stage, ms in row["stage_ms"].items())
         )

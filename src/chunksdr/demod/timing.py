@@ -15,8 +15,9 @@ sacrificed to the acquisition transient.
 Inside the loop each block is interpolated with one float64 matvec over the
 interleaved real/imaginary input, into a buffer whose fixed views feed the
 power and `gardner_ted`; the loop body otherwise runs on Python scalars.  It
-records each block's (q, tau, filter index), and the emitted symbols and
-positions are interpolated in one batched gather after the loop.
+records each block's (q, tau, filter index); after the loop the emitted
+symbols are interpolated in batched gathers of 64 blocks, which bounds the
+transient window copy, and their positions in one step.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ class _PassResult:
 
 
 _ROW = 2 * FLUSH - 1  # floats spanned by one 8-tap window in interleaved form
+_GATHER_BLOCKS = 64  # blocks whose emitted symbols are interpolated in one gather
 
 
 def _interleaved_bank() -> np.ndarray:
@@ -179,12 +181,17 @@ def _run_pass(
     if not collect:
         return result, None, None
     q_arr = np.array(qs, dtype=np.int64)
-    # every on-time (even) output of every block: window base q - 3 + 2j
-    base = (q_arr - _WIN_LEFT)[:, None] + np.arange(0, BLOCK_OUT, 2)
-    windows = sliding_window_view(wide, FLUSH)[base]
-    symbols = (windows @ lagrange_bank()[np.array(fis, dtype=np.int64)][:, :, None])[..., 0]
+    taps = lagrange_bank()[np.array(fis, dtype=np.int64)][:, :, None]
+    # every on-time (even) output of every block: window base q - 3 + 2j;
+    # gathered _GATHER_BLOCKS blocks at a time to bound the window copy
+    on_time = np.arange(0, BLOCK_OUT, 2) - _WIN_LEFT
+    windows = sliding_window_view(wide, FLUSH)
+    symbols = np.empty((q_arr.size, BLOCK_OUT // 2), np.complex64)
+    for i in range(0, q_arr.size, _GATHER_BLOCKS):
+        base = q_arr[i : i + _GATHER_BLOCKS, None] + on_time
+        symbols[i : i + _GATHER_BLOCKS] = (windows[base] @ taps[i : i + _GATHER_BLOCKS])[..., 0]
     positions = (q_arr + np.array(taus))[:, None] + 2.0 * np.arange(BLOCK_OUT // 2)
-    return result, symbols.astype(np.complex64).ravel(), positions.ravel()
+    return result, symbols.ravel(), positions.ravel()
 
 
 def freeze_table(freeze: int | np.ndarray, n: int) -> bytes:

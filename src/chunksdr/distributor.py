@@ -282,7 +282,10 @@ def assemble_chunks(
 
 def lose_packets(packets: list[Packet], loss_rate: float, seed: int = 0) -> list[Packet]:
     """The packets left after one uniform draw each, in order, from
-    ``default_rng(seed)``: a draw below ``loss_rate`` loses its packet."""
+    ``default_rng(seed)``: a draw below ``loss_rate`` loses its packet.
+    A rate outside [0, 1], or nan, raises ValueError."""
+    if not 0.0 <= loss_rate <= 1.0:
+        raise ValueError(f"loss rate {loss_rate} is not in [0, 1]")
     if not loss_rate:
         return list(packets)
     draws = np.random.default_rng(seed).random(len(packets))

@@ -6,6 +6,13 @@ word once its syndrome is zero.  The reference decoder is normalized
 min-sum (factor 0.75, 50 iterations max) on alist-loaded sparse matrices.
 LLR convention: positive means bit 0.
 
+The decoder keeps one message per edge, edges in row order, so every check
+row is a contiguous segment of the edge list; the check-node update is a
+few segment reductions (`np.ufunc.reduceat`) per iteration over a fixed set
+of scratch arrays, rather than a gather into a table padded to the largest
+row weight.  The syndrome checks and `resolves` still use that padded row
+table.
+
 Every worker builds or inherits a codec, so making one does only what
 decoding needs: the alist file is parsed in one numpy call and checked
 with array operations, and the edge tables are built without Python
@@ -222,7 +229,8 @@ class LdpcCodec:
         self._encoder: tuple[np.ndarray, np.ndarray | None] | None = None
 
     def _build_edges(self) -> None:
-        """Edges in row order, plus padded per-row and per-column gather tables."""
+        """Edges in row order, their row segments, and padded per-row and
+        per-column gather tables."""
         mat = self.matrix
         row_wt = np.fromiter(map(len, mat.row_cols), np.int64, count=mat.m)
         self.edge_col = np.concatenate(mat.row_cols)
@@ -240,6 +248,10 @@ class LdpcCodec:
         col_start = np.cumsum(col_wt) - col_wt
         self.col_gather[col_of, edges - col_start[col_of]] = by_col
         self.n_edges = n_edges
+        # the rows that have edges, as contiguous segments of the edge list
+        has_edges = row_wt > 0
+        self.seg_start = row_start[has_edges]
+        self.edge_seg = np.repeat(np.arange(self.seg_start.size), row_wt[has_edges])
 
     def _build_encoder(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(A, B^-1) for H = [A | B]; B^-1 is None for an accumulator tail,
@@ -284,50 +296,74 @@ class LdpcCodec:
         for each word is its first syndrome-zero hard decision; early
         termination only skips the remaining compute for converged words, so
         it never changes the result.
+
+        Messages are edge-major, (words, edges) in row order, so each check
+        row is a contiguous segment and the check-node update is segment
+        reductions (`reduceat` over `seg_start`): the row minimum, the
+        number of edges at it, the minimum with those edges masked to +inf
+        (the first minimum again when it ties) and the sign parity.  A row's
+        unique minimum edge gets the second minimum, every other edge the
+        first.  Scratch arrays are allocated once per call and shrink with
+        the words still iterating.
         """
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float32))
         batch, n = llrs.shape
         if n != self.n:
             raise LengthMismatch(f"{n} LLRs per word, expected {self.n}")
-        ne = self.n_edges
-        v2c = np.empty((batch, ne + 1), dtype=np.float32)
-        v2c[:, :ne] = llrs[:, self.edge_col]
-        v2c[:, ne] = np.inf  # sentinel: magnitude +inf, sign +
         out_bits = (llrs < 0).astype(np.uint8)
         done = self._syndrome_ok(out_bits)
+        words = np.flatnonzero(~done) if early_termination else np.arange(batch)
+        if not words.size:
+            return out_bits, done, 0
+        ne, seg, edge_seg = self.n_edges, self.seg_start, self.edge_seg
+        llr_w = llrs[words]
+        v2c = llr_w[:, self.edge_col]
+        # column ne stands for the padded `col_gather` slots: it reads +0.0
+        c2v_buf = np.zeros((words.size, ne + 1), np.float32)
+        mag_buf = np.empty((words.size, ne), np.float32)
+        sgn_buf, flag_buf = np.empty((2, words.size, ne), bool)
+        sum_buf = np.empty((words.size, n), np.float32)
         iterations = 0
         for it in range(max_iterations):
             if done.all():
                 break
-            active = ~done if early_termination else np.ones(batch, dtype=bool)
             iterations = it + 1
-            msgs = v2c[active][:, self.row_gather]  # (B', m, w)
-            mag = np.abs(msgs)
-            sgn = np.signbit(msgs)
-            row_sign = np.bitwise_xor.reduce(sgn, axis=2)
-            min1_idx = np.argmin(mag, axis=2)
-            min1 = np.take_along_axis(mag, min1_idx[..., None], axis=2)[..., 0]
-            mag2 = mag.copy()
-            np.put_along_axis(mag2, min1_idx[..., None], np.inf, axis=2)
-            min2 = mag2.min(axis=2)
-            # per-edge extrinsic: exclude own sign, use min2 on the argmin edge
-            edge_is_min = (
-                np.arange(mag.shape[2])[None, None, :] == min1_idx[..., None]
-            )
-            out_mag = np.where(edge_is_min, min2[..., None], min1[..., None])
-            out_sign = row_sign[..., None] ^ sgn
-            new_c2v = np.where(out_sign, -out_mag, out_mag) * MIN_SUM_NORM
-            c2v_active = np.zeros((new_c2v.shape[0], ne + 1), dtype=np.float32)
-            c2v_active[:, self.row_gather.ravel()] = new_c2v.reshape(new_c2v.shape[0], -1)
-            c2v_active[:, ne] = 0.0
-            total = llrs[active] + c2v_active[:, self.col_gather].sum(axis=2)
-            v2c[active, :ne] = total[:, self.edge_col] - c2v_active[:, :ne]
+            w = words.size
+            mag = np.abs(v2c, out=mag_buf[:w])
+            sgn = np.signbit(v2c, out=sgn_buf[:w])
+            min1 = np.minimum.reduceat(mag, seg, axis=1)
+            parity = np.logical_xor.reduceat(sgn, seg, axis=1)
+            c2v = c2v_buf[:w]
+            msg = c2v[:, :ne]
+            # the indices are in range; mode "raise" would copy `out` first
+            np.take(min1, edge_seg, axis=1, out=msg, mode="clip")
+            is_min = np.equal(mag, msg, out=flag_buf[:w])
+            ties = np.add.reduceat(is_min, seg, axis=1, dtype=np.int32)
+            np.copyto(mag, np.inf, where=is_min)
+            min2 = np.minimum.reduceat(mag, seg, axis=1)
+            np.copyto(min2, min1, where=ties > 1)
+            np.copyto(msg, np.take(min2, edge_seg, axis=1, out=mag, mode="clip"), where=is_min)
+            # extrinsic sign: the row's parity without the edge's own sign
+            out_sgn = np.take(parity, edge_seg, axis=1, out=flag_buf[:w], mode="clip")
+            np.not_equal(out_sgn, sgn, out=out_sgn)
+            msg *= MIN_SUM_NORM
+            np.negative(msg, out=msg, where=out_sgn)
+            # variable nodes: numpy's `sum` over the padded slots starts from
+            # +0.0, so ((c0 + c1) + c2) + 0.0 gives its bits, signed zeros too
+            total = np.take(c2v, self.col_gather[:, 0], axis=1, out=sum_buf[:w], mode="clip")
+            for slot in self.col_gather.T[1:]:
+                total += np.take(c2v, slot, axis=1)
+            total += 0.0
+            np.add(llr_w, total, out=total)
+            np.take(total, self.edge_col, axis=1, out=v2c, mode="clip")
+            v2c -= msg
             hard = (total < 0).astype(np.uint8)
             ok_now = self._syndrome_ok(hard)
-            idx_active = np.nonzero(active)[0]
-            first_time = ok_now & ~done[idx_active]
-            out_bits[idx_active[first_time]] = hard[first_time]
-            done[idx_active[ok_now]] = True
+            first_time = ok_now & ~done[words]
+            out_bits[words[first_time]] = hard[first_time]
+            done[words[ok_now]] = True
+            if early_termination and ok_now.any():
+                words, llr_w, v2c = words[~ok_now], llr_w[~ok_now], v2c[~ok_now]
         return out_bits, done, iterations
 
     def resolves(self, erased: np.ndarray) -> bool:

@@ -300,7 +300,9 @@ def bench(
 
     With `seconds` set, the corpus is cycled until that much wall time has
     elapsed per sweep point; otherwise each point runs one pass.  A row's
-    `stage_ms` is each stage's time summed over every pass, per chunk run.
+    `stage_ms` is each stage's time summed over every pass, per chunk run;
+    `pass_samples_per_second` holds the quartiles of the passes' own input
+    rates, the spread one row's throughput carries.
     """
     import platform
 
@@ -311,24 +313,27 @@ def bench(
         for workers in workers_list:
             chunk_times: list[float] = []
             stage_seconds: Counter = Counter()
-            passes = 0
+            pass_ends: list[float] = []  # seconds since t0
             t0 = time.perf_counter()
             while True:
                 result = run_pipeline(corpus, ctx, workers=workers, backend=backend)
                 chunk_times.extend(result.stats.chunk_seconds)
                 stage_seconds.update(result.stats.stage_seconds)
-                passes += 1
-                elapsed = time.perf_counter() - t0
-                if seconds is None or elapsed >= seconds:
+                pass_ends.append(time.perf_counter() - t0)
+                if seconds is None or pass_ends[-1] >= seconds:
                     break
+            elapsed, passes = pass_ends[-1], len(pass_ends)
             done = passes * len(corpus)
             ms = np.array(chunk_times or [0.0]) * 1e3
+            per_pass = len(corpus) * geometry.advance_samples / np.diff(pass_ends, prepend=0.0)
+            p25, p50, p75 = np.percentile(per_pass, [25, 50, 75]).tolist()
             rows.append({
                 "backend": backend,
                 "workers": workers,
                 "passes": passes,
                 "chunks": done,
                 "input_samples_per_second": done * geometry.advance_samples / elapsed,
+                "pass_samples_per_second": {"p25": p25, "p50": p50, "p75": p75},
                 "chunk_ms": {"mean": ms.mean(), "p90": np.percentile(ms, 90), "max": ms.max()},
                 "stage_ms": {stage: stage_seconds[stage] * 1e3 / done for stage in _STAGES},
             })

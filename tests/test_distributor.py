@@ -12,6 +12,7 @@ from chunksdr.distributor import (
     InProcessTransport,
     Packet,
     UdpMulticastTransport,
+    lose_packets,
     packetize,
     subscribe_and_assemble,
 )
@@ -229,6 +230,20 @@ class TestInProcessTransport:
         got = transport.drain(0)
         assert [p.packet_number for p in got] == list(range(10, 20))
         assert transport.dropped_full == 10
+
+
+class TestLosePackets:
+    @pytest.mark.parametrize("rate", [float("nan"), -0.5, -1e-9, 1.5, float("inf"), float("-inf")])
+    def test_rate_outside_unit_interval_raises(self, rate):
+        """nan used to lose every packet, a negative rate none."""
+        with pytest.raises(ValueError, match=r"not in \[0, 1\]"):
+            lose_packets(list(range(1000)), rate, seed=0)
+
+    def test_unit_interval_ends(self):
+        packets = list(range(1000))
+        assert lose_packets(packets, 0.0, seed=0) == packets
+        assert lose_packets(packets, 1.0, seed=0) == []
+        assert 400 < len(lose_packets(packets, 0.5, seed=0)) < 600
 
 
 class TestWireFormat:

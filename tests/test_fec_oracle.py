@@ -4,13 +4,16 @@
 check-to-variable array was removed: it gathers each row's messages into a
 (B, m, w) array every iteration and scatters the extrinsic messages back
 through the row table.  A rewrite of `decode` must return the same bits,
-flags and iteration counts on every batch here, converged or not.
+flags and iteration counts on every batch here, converged or not: AWGN
+words, and inputs where a rewrite can drift (tied row minima, exact zeros
+of either sign, saturated LLRs, checks with no edges).
 """
 
 import numpy as np
 import pytest
 
-from chunksdr.fec import MAX_ITERATIONS, MIN_SUM_NORM, get_codec
+from chunksdr.demod.softbits import LLR_CLIP
+from chunksdr.fec import MAX_ITERATIONS, MIN_SUM_NORM, LdpcCodec, ParityCheckMatrix, get_codec
 
 
 def _ref_decode(codec, llrs, early_termination=True, max_iterations=MAX_ITERATIONS):
@@ -115,3 +118,63 @@ def test_single_word_and_already_valid_batch():
     _assert_same(codec, llrs)
     _, iters = _assert_same(codec, np.full((16, codec.n), 5.0, np.float32))
     assert iters == 0
+
+
+def _drift_batch(codec, kind: str, seed: int) -> np.ndarray:
+    """A batch whose values a rewritten check-node update can mishandle.
+
+    levels3/levels4: magnitudes quantised to 3 or 4 levels, so row minima
+    tie; erased: spans of exact 0.0; saturated: most LLRs at +-LLR_CLIP and
+    two words wholly at +LLR_CLIP; negzero: scattered -0.0 and 0.0 entries.
+    """
+    rng = np.random.default_rng(seed)
+    llrs = _awgn_batch(codec, 2.5, seed)
+    if kind.startswith("levels"):
+        levels = np.array([1.0, 2.5, 6.0, 15.0][: int(kind[-1])], np.float32)
+        nearest = np.abs(np.abs(llrs)[..., None] - levels).argmin(axis=-1)
+        return np.copysign(levels[nearest], llrs)
+    if kind == "erased":
+        for word in llrs:
+            for length in rng.integers(codec.n // 150 + 1, codec.n // 15, size=3):
+                start = rng.integers(0, codec.n - length)
+                word[start : start + length] = 0.0
+        return llrs
+    if kind == "saturated":
+        llrs = np.clip(40.0 * llrs, -LLR_CLIP, LLR_CLIP).astype(np.float32)
+        llrs[-2:] = LLR_CLIP
+        return llrs
+    assert kind == "negzero"
+    spots = rng.random(llrs.shape)
+    llrs[spots < 0.05] = -0.0
+    llrs[(spots >= 0.05) & (spots < 0.08)] = 0.0
+    return llrs
+
+
+@pytest.mark.parametrize("early_termination", [True, False])
+@pytest.mark.parametrize("kind", ["levels3", "levels4", "erased", "saturated", "negzero"])
+def test_desk_code_on_inputs_a_rewrite_can_drift(kind, early_termination):
+    codec = get_codec("ldpc_3060_1530")
+    llrs = _drift_batch(codec, kind, seed=10)
+    _, iters = _assert_same(codec, llrs, early_termination=early_termination)
+    assert iters > 1
+
+
+@pytest.mark.parametrize("early_termination", [True, False])
+@pytest.mark.parametrize("kind", ["levels3", "levels4", "erased", "saturated", "negzero"])
+def test_toy_code_on_inputs_a_rewrite_can_drift(kind, early_termination):
+    codec = get_codec("ldpc_96_48")
+    for seed in range(8):
+        _assert_same(codec, _drift_batch(codec, kind, seed), early_termination=early_termination)
+
+
+@pytest.mark.parametrize("early_termination", [True, False])
+def test_code_with_empty_rows_matches_reference(early_termination):
+    """Checks with no edges, in the middle and last, hold no row segment."""
+    toy = get_codec("ldpc_96_48")
+    mat = toy.matrix
+    empty = np.zeros(0, dtype=np.int64)
+    row_cols = mat.row_cols[:10] + [empty] + mat.row_cols[10:] + [empty]
+    col_rows = [np.where(rows >= 10, rows + 1, rows) for rows in mat.col_rows]
+    codec = LdpcCodec(ParityCheckMatrix(n=mat.n, m=mat.m + 2, col_rows=col_rows, row_cols=row_cols))
+    for seed in range(6):
+        _assert_same(codec, _awgn_batch(toy, 2.0, seed), early_termination=early_termination)

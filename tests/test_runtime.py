@@ -399,6 +399,10 @@ class TestBench:
         for row in report.rows:
             assert (row["workers"], row["passes"], row["chunks"]) == (1, 1, 2)
             assert row["input_samples_per_second"] > 0
+            # one pass: its quartiles are the row's own rate
+            rate = row["input_samples_per_second"]
+            assert row["pass_samples_per_second"] == pytest.approx(
+                {"p25": rate, "p50": rate, "p75": rate})
             assert set(row["chunk_ms"]) == {"mean", "p90", "max"}
             assert list(row["stage_ms"]) == STAGES
             total, mean = sum(row["stage_ms"].values()), row["chunk_ms"]["mean"]
@@ -422,7 +426,7 @@ class TestBench:
             stats = runtime.RunStats(stage_seconds=next(passes), chunk_seconds=[0.1, 0.2])
             return runtime.PipelineResult(blocks=[], stats=stats)
 
-        clock = iter([0.0, 1.0, 2.0, 2.0, 3.0, 4.0])
+        clock = iter([0.0, 0.5, 2.0, 2.0, 2.5, 4.0])  # passes of 0.5 s and 1.5 s
         monkeypatch.setattr(runtime, "make_bench_corpus", lambda ctx, n, seed: ["c0", "c1"])
         monkeypatch.setattr(runtime, "run_pipeline", fake_run)
         monkeypatch.setattr(runtime, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
@@ -430,7 +434,11 @@ class TestBench:
         assert [r["backend"] for r in rows] == ["thread", "process"]
         for row in rows:
             assert (row["passes"], row["chunks"]) == (2, 4)
-            assert row["input_samples_per_second"] == 4 * desk_ctx.plan.chunk.advance_samples / 2.0
+            advance = desk_ctx.plan.chunk.advance_samples
+            assert row["input_samples_per_second"] == 4 * advance / 2.0
+            # quartiles of the two passes' rates, 2 chunks in 0.5 s and in 1.5 s
+            assert row["pass_samples_per_second"] == pytest.approx(
+                {"p25": 2.0 * advance, "p50": 8 / 3 * advance, "p75": 10 / 3 * advance})
             assert row["chunk_ms"]["max"] == pytest.approx(200.0)
             assert row["chunk_ms"]["mean"] == pytest.approx(150.0)
             expected = dict.fromkeys(STAGES, 0.0) | {"timing": 100.0, "fec": 150.0}
