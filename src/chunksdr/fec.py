@@ -247,6 +247,10 @@ class LdpcCodec:
         self.col_gather = np.full((mat.n, col_wt.max()), n_edges, dtype=np.int64)
         col_start = np.cumsum(col_wt) - col_wt
         self.col_gather[col_of, edges - col_start[col_of]] = by_col
+        # the same table for `decode`'s column sums: padded slots read edge 0
+        # and are masked out
+        self.col_valid = self.col_gather < n_edges
+        self.col_edge = np.where(self.col_valid, self.col_gather, 0)
         self.n_edges = n_edges
         # the rows that have edges, as contiguous segments of the edge list
         has_edges = row_wt > 0
@@ -318,8 +322,7 @@ class LdpcCodec:
         ne, seg, edge_seg = self.n_edges, self.seg_start, self.edge_seg
         llr_w = llrs[words]
         v2c = llr_w[:, self.edge_col]
-        # column ne stands for the padded `col_gather` slots: it reads +0.0
-        c2v_buf = np.zeros((words.size, ne + 1), np.float32)
+        msg_buf = np.empty((words.size, ne), np.float32)
         mag_buf = np.empty((words.size, ne), np.float32)
         sgn_buf, flag_buf = np.empty((2, words.size, ne), bool)
         sum_buf = np.empty((words.size, n), np.float32)
@@ -333,9 +336,9 @@ class LdpcCodec:
             sgn = np.signbit(v2c, out=sgn_buf[:w])
             min1 = np.minimum.reduceat(mag, seg, axis=1)
             parity = np.logical_xor.reduceat(sgn, seg, axis=1)
-            c2v = c2v_buf[:w]
-            msg = c2v[:, :ne]
-            # the indices are in range; mode "raise" would copy `out` first
+            msg = msg_buf[:w]
+            # `take` fills a C-contiguous `out` in place unless mode is "raise";
+            # the indices are in range, so "clip" changes nothing
             np.take(min1, edge_seg, axis=1, out=msg, mode="clip")
             is_min = np.equal(mag, msg, out=flag_buf[:w])
             ties = np.add.reduceat(is_min, seg, axis=1, dtype=np.int32)
@@ -348,12 +351,12 @@ class LdpcCodec:
             np.not_equal(out_sgn, sgn, out=out_sgn)
             msg *= MIN_SUM_NORM
             np.negative(msg, out=msg, where=out_sgn)
-            # variable nodes: numpy's `sum` over the padded slots starts from
-            # +0.0, so ((c0 + c1) + c2) + 0.0 gives its bits, signed zeros too
-            total = np.take(c2v, self.col_gather[:, 0], axis=1, out=sum_buf[:w], mode="clip")
-            for slot in self.col_gather.T[1:]:
-                total += np.take(c2v, slot, axis=1)
-            total += 0.0
+            # variable nodes: like numpy's `sum` over the padded slots, start
+            # from +0.0, so the bits match, signed zeros too
+            total = sum_buf[:w]
+            total.fill(0.0)
+            for edge, valid in zip(self.col_edge.T, self.col_valid.T):
+                np.add(total, np.take(msg, edge, axis=1, mode="clip"), out=total, where=valid)
             np.add(llr_w, total, out=total)
             np.take(total, self.edge_col, axis=1, out=v2c, mode="clip")
             v2c -= msg

@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
 """Alternating perfbench pairs between two checkouts.
 
-Pair i runs `perfbench/run.py --workload W --seed FIRST+i --trace 0` once in
-each checkout, in fresh interpreters, the base first in even pairs and the
-change first in odd pairs.  For every end-to-end metric that BENCHMARK.json
-declares, it prints each pair's two values, each side's median and
-quartiles, how many pairs the change won, the median's relative move and
-the metric's bound; it also prints each run's pass count and whether every
-run passed its checks.  It reads only BENCHMARK.json (from the change
+Pair i runs `perfbench/run.py --workload W --seed i --trace 0` once in each
+checkout, at perfbench's own run length, in fresh interpreters, the base
+first in even pairs and the change first in odd pairs.  For every
+end-to-end metric that BENCHMARK.json declares, it prints each pair's two
+values, each side's median and quartiles, how many pairs the change won,
+the median's relative move and the metric's bound; it also prints each
+run's pass count and whether every run passed its checks.  It reads only BENCHMARK.json (from the change
 checkout) and the output of perfbench/run.py.
 
     python3 tools/perf_pairs.py --base ../parent --change . \\
-        --workload desk-12db --pairs 10 --seconds 36 --out pairs.json
-
-`--report pairs.json` prints the tables again from a saved run.
+        --workload desk-12db --pairs 10
 """
 
 from __future__ import annotations
@@ -31,10 +29,10 @@ SIDES = ("base", "change")
 _PASSES = re.compile(r"measured [\d.]+ s in (\d+) pass")
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: str, workload: str, seed: int) -> dict:
     """One perfbench run: its final JSON line plus the pass count."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -48,23 +46,21 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return record
 
 
-def run_pairs(args, spec: dict) -> dict:
+def run_pairs(args) -> dict:
     checkouts = {"base": args.base, "change": args.change}
     runs = {w: [] for w in args.workload}
     for i in range(args.pairs):
-        seed = args.first_seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for workload in args.workload:
-            pair = {"seed": seed, "first": order[0]}
+            pair = {}
             for side in order:
-                pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                pair[side] = run_once(checkouts[side], workload, seed=i)
                 value = pair[side]["metrics"].get("throughput_msps", {}).get("value")
-                print(f"pair {i} {workload} seed {seed} {side}: throughput_msps {value} "
+                print(f"pair {i} {workload} seed {i} {side}: throughput_msps {value} "
                       f"passes {pair[side]['passes']} correct {pair[side]['correct']}",
                       file=sys.stderr, flush=True)
             runs[workload].append(pair)
-    return {"base": args.base, "change": args.change, "seconds": args.seconds,
-            "end_to_end": spec["end_to_end"], "runs": runs}
+    return runs
 
 
 def quartiles(xs) -> tuple[float, float, float]:
@@ -72,9 +68,9 @@ def quartiles(xs) -> tuple[float, float, float]:
     return float(q1), float(med), float(q3)
 
 
-def report(result: dict) -> None:
-    for workload, pairs in result["runs"].items():
-        print(f"== {workload}: {len(pairs)} pairs, {result['seconds']:g} s per run")
+def report(runs: dict, end_to_end: list[dict]) -> None:
+    for workload, pairs in runs.items():
+        print(f"== {workload}: {len(pairs)} pairs")
         for side in SIDES:
             ok = sum(bool(p[side]["correct"]) and p[side]["exit_code"] == 0 for p in pairs)
             passes = [p[side]["passes"] for p in pairs]
@@ -82,7 +78,7 @@ def report(result: dict) -> None:
             attempted = sum(p[side]["attempted"] for p in pairs)
             print(f"  {side:<6} runs passing every check {ok}/{len(pairs)}; "
                   f"operations failed {failed}/{attempted}; passes {passes}")
-        for metric in result["end_to_end"]:
+        for metric in end_to_end:
             name, higher = metric["name"], metric["better"] == "higher"
             values = [(p["base"]["metrics"].get(name, {}).get("value"),
                        p["change"]["metrics"].get(name, {}).get("value")) for p in pairs]
@@ -108,28 +104,15 @@ def report(result: dict) -> None:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--base", help="checkout of the parent commit")
+    ap.add_argument("--base", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", default=".", help="checkout of the change (default: .)")
-    ap.add_argument("--workload", action="append", help="perfbench workload (repeatable)")
+    ap.add_argument("--workload", action="append", required=True,
+                    help="perfbench workload (repeatable)")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=36.0)
-    ap.add_argument("--out", help="write every run's record to this JSON file")
-    ap.add_argument("--report", metavar="JSON", help="print the tables of a saved run and exit")
     args = ap.parse_args()
-    if args.report:
-        with open(args.report) as fh:
-            report(json.load(fh))
-        return 0
-    if not args.base or not args.workload:
-        ap.error("--base and at least one --workload are needed")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    result = run_pairs(args, spec)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(result, fh, indent=1)
-    report(result)
+    report(run_pairs(args), spec["end_to_end"])
     return 0
 
 
