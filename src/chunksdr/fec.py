@@ -10,8 +10,9 @@ The decoder keeps one message per edge, edges in row order, so every check
 row is a contiguous segment of the edge list; the check-node update is a
 few segment reductions (`np.ufunc.reduceat`) per iteration over a fixed set
 of scratch arrays, rather than a gather into a table padded to the largest
-row weight.  The syndrome checks and `resolves` still use that padded row
-table.
+row weight.  The parity checks run on the same segments: the syndrome
+check packs up to 64 words into the bits of one uint64 per column and
+XORs each row segment once, and `resolves` peels on per-segment counts.
 
 Every worker builds or inherits a codec, so making one does only what
 decoding needs: the alist file is parsed in one numpy call and checked
@@ -36,6 +37,7 @@ from .demod.softbits import LLR_CLIP, SoftFrame
 BATCH_SIZE = 16
 MIN_SUM_NORM = 0.75
 MAX_ITERATIONS = 50
+_BYTES_TO_BITS = np.uint64(0x0102040810204080)  # see `LdpcCodec._syndrome_ok`
 
 
 @dataclass
@@ -215,7 +217,10 @@ class PassthroughCodec:
 
     def resolves(self, erased: np.ndarray) -> bool:
         """No redundancy: an erased bit is never determined."""
-        return not np.any(erased)
+        erased = np.asarray(erased, dtype=bool)
+        if erased.shape != (self.n,):
+            raise LengthMismatch(f"{erased.size} erasure flags, expected {self.n}")
+        return not erased.any()
 
 
 class LdpcCodec:
@@ -229,18 +234,15 @@ class LdpcCodec:
         self._encoder: tuple[np.ndarray, np.ndarray | None] | None = None
 
     def _build_edges(self) -> None:
-        """Edges in row order, their row segments, and padded per-row and
-        per-column gather tables."""
+        """Edges in row order, their row segments, and a padded per-column
+        gather table."""
         mat = self.matrix
         row_wt = np.fromiter(map(len, mat.row_cols), np.int64, count=mat.m)
         self.edge_col = np.concatenate(mat.row_cols)
-        self.edge_row = np.repeat(np.arange(mat.m, dtype=np.int64), row_wt)
         n_edges = self.edge_col.size
         edges = np.arange(n_edges, dtype=np.int64)
-        # padded gather tables; the sentinel edge (index n_edges) is inert
-        self.row_gather = np.full((mat.m, row_wt.max()), n_edges, dtype=np.int64)
         row_start = np.cumsum(row_wt) - row_wt
-        self.row_gather[self.edge_row, edges - row_start[self.edge_row]] = edges
+        # padded column table; the sentinel edge (index n_edges) is inert
         by_col = np.argsort(self.edge_col, kind="stable")
         col_of = self.edge_col[by_col]
         col_wt = np.bincount(self.edge_col, minlength=mat.n)
@@ -253,9 +255,9 @@ class LdpcCodec:
         self.col_edge = np.where(self.col_valid, self.col_gather, 0)
         self.n_edges = n_edges
         # the rows that have edges, as contiguous segments of the edge list
-        has_edges = row_wt > 0
-        self.seg_start = row_start[has_edges]
-        self.edge_seg = np.repeat(np.arange(self.seg_start.size), row_wt[has_edges])
+        self.seg_row = np.flatnonzero(row_wt)
+        self.seg_start = row_start[self.seg_row]
+        self.edge_seg = np.repeat(np.arange(self.seg_row.size), row_wt[self.seg_row])
 
     def _build_encoder(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(A, B^-1) for H = [A | B]; B^-1 is None for an accumulator tail,
@@ -284,9 +286,13 @@ class LdpcCodec:
         return np.concatenate([bits, parity]).astype(np.uint8)
 
     def syndrome(self, codeword: np.ndarray) -> np.ndarray:
+        """The m check parities of one word of n bits; 0 on edgeless rows."""
         bits = np.asarray(codeword, dtype=np.uint8)
-        edge_bits = np.concatenate([bits[self.edge_col], [0]])
-        return np.bitwise_xor.reduce(edge_bits[self.row_gather], axis=1)
+        if bits.shape != (self.n,):
+            raise LengthMismatch(f"{bits.size} bits, expected {self.n}")
+        out = np.zeros(self.matrix.m, dtype=np.uint8)
+        out[self.seg_row] = np.bitwise_xor.reduceat(bits[self.edge_col], self.seg_start)
+        return out
 
     def decode(
         self,
@@ -360,10 +366,9 @@ class LdpcCodec:
             np.add(llr_w, total, out=total)
             np.take(total, self.edge_col, axis=1, out=v2c, mode="clip")
             v2c -= msg
-            hard = (total < 0).astype(np.uint8)
-            ok_now = self._syndrome_ok(hard)
+            ok_now = self._syndrome_ok(total < 0)
             first_time = ok_now & ~done[words]
-            out_bits[words[first_time]] = hard[first_time]
+            out_bits[words[first_time]] = total[first_time] < 0
             done[words[ok_now]] = True
             if early_termination and ok_now.any():
                 words, llr_w, v2c = words[~ok_now], llr_w[~ok_now], v2c[~ok_now]
@@ -378,22 +383,44 @@ class LdpcCodec:
         on them is no decision.
         """
         unknown = np.array(erased, dtype=bool)
+        if unknown.shape != (self.n,):
+            raise LengthMismatch(f"{unknown.size} erasure flags, expected {self.n}")
         while unknown.any():
-            on_edge = np.append(unknown[self.edge_col], False)[self.row_gather]  # (m, w)
-            rows = np.flatnonzero(np.count_nonzero(on_edge, axis=1) == 1)
-            if not rows.size:
+            on_edge = unknown[self.edge_col]
+            single = np.add.reduceat(on_edge, self.seg_start, dtype=np.int32) == 1
+            peel = on_edge & single[self.edge_seg]
+            if not peel.any():
                 return False
-            slots = np.argmax(on_edge[rows], axis=1)
-            unknown[self.edge_col[self.row_gather[rows, slots]]] = False
+            unknown[self.edge_col[peel]] = False
         return True
 
     def _syndrome_ok(self, bits: np.ndarray) -> np.ndarray:
+        """Which words of a (words, n) 0/1 array meet every check.
+
+        Up to 64 words ride as the bits of one uint64 per column (word i in
+        bit i), so a block of words costs one gather and one segment XOR
+        over the edge list; word i fails iff bit i of the rows' OR is set.
+        To pack, each group of 8 words is laid out one byte per word in a
+        uint64 per column, and a multiply moves byte j's low bit to bit
+        56 + j (the products never overlap, so nothing carries).
+        """
         bits = np.atleast_2d(bits)
-        edge_bits = np.concatenate(
-            [bits[:, self.edge_col], np.zeros((bits.shape[0], 1), np.uint8)], axis=1
-        )
-        parity = np.bitwise_xor.reduce(edge_bits[:, self.row_gather], axis=2)
-        return ~parity.any(axis=1)
+        ok = np.empty(bits.shape[0], dtype=bool)
+        for start in range(0, bits.shape[0], 64):
+            block = bits[start : start + 64]
+            words = block.shape[0]
+            groups = -(-words // 8)
+            spread = np.zeros((self.n, 8 * groups), dtype=np.uint8)
+            spread[:, :words] = block.T
+            packed = spread.view("<u8")  # (n, groups), word 8g + j in byte j
+            packed *= _BYTES_TO_BITS
+            packed >>= np.uint64(56)
+            lanes = np.zeros((self.n, 8), dtype=np.uint8)
+            lanes[:, :groups] = packed
+            parity = np.bitwise_xor.reduceat(lanes.view("<u8")[self.edge_col, 0], self.seg_start)
+            failed = np.bitwise_or.reduce(parity) >> np.arange(words, dtype=np.uint64)
+            ok[start : start + words] = (failed & 1) == 0
+        return ok
 
 
 def _gf2_inverse(mat: np.ndarray) -> np.ndarray:

@@ -356,6 +356,30 @@ class TestErasedBits:
         assert block.failed
 
 
+@pytest.mark.parametrize(
+    "code, method, extra, erase_past_end",
+    [
+        ("desk_code", "syndrome", 5, False),
+        ("desk_code", "syndrome", -1, False),
+        ("desk_code", "resolves", -1, False),
+        ("desk_code", "resolves", 3, True),
+        ("toy96", "syndrome", 1, False),
+        ("toy96", "resolves", 2, True),
+        ("passthrough", "resolves", -1, False),
+        ("passthrough", "resolves", 2, True),
+    ],
+)
+def test_parity_checks_reject_words_not_n_long(request, code, method, extra, erase_past_end):
+    """`syndrome` and `resolves` take exactly n bits, as `encode` and
+    `decode` do; extra bits are not ignored, however they are set."""
+    codec = PassthroughCodec(12) if code == "passthrough" else request.getfixturevalue(code)
+    word = np.zeros(codec.n + extra, np.uint8)
+    if erase_past_end:
+        word[codec.n + 1] = 1
+    with pytest.raises(LengthMismatch):
+        getattr(codec, method)(word if method == "syndrome" else word.astype(bool))
+
+
 class TestBlockPickle:
     @pytest.mark.parametrize("n_bits", [0, 1, 13, 1530])
     @pytest.mark.parametrize("failed", [False, True])

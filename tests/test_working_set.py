@@ -3,11 +3,13 @@
 A forked worker's peak RSS is what it inherits from the receiver plus what
 one chunk allocates at once.  These bound, by tracemalloc, the transient
 allocations of the two largest stages on a desk chunk: a batch of 16 words
-through `decode_batch`, and `track_symbols_two_pass`.
+through `decode_batch`, and `track_symbols_two_pass`; and of the syndrome
+check that `decode` runs every iteration.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import chunksdr.demod as demod
@@ -38,6 +40,16 @@ def test_decode_batch_of_16_desk_frames_peaks_under_5_mb(desk_ctx, desk_chunk):
     blocks, peak = _peak(decode_batch, frames[:BATCH_SIZE], desk_ctx.codec)
     assert len(blocks) == BATCH_SIZE and not any(b.failed for b in blocks)
     assert peak <= 5 * MB, f"{peak / MB:.2f} MB"
+
+
+def test_syndrome_check_of_16_desk_words_peaks_under_0_2_mb(desk_ctx, desk_chunk):
+    """Packed to one uint64 lane per column, 16 words gather 8 bytes per edge,
+    not a (16, edges) array and a (16, m, 13) row table."""
+    _, frames = desk_chunk
+    hard = np.array([(frame.llrs < 0).astype(np.uint8) for frame in frames[:BATCH_SIZE]])
+    ok, peak = _peak(desk_ctx.codec._syndrome_ok, hard)
+    assert ok.shape == (BATCH_SIZE,)
+    assert peak <= 0.2 * MB, f"{peak / MB:.3f} MB"
 
 
 def test_symbol_tracking_of_a_desk_chunk_peaks_under_2_mb(desk_ctx, desk_chunk, monkeypatch):

@@ -7,8 +7,12 @@ first in even pairs and the change first in odd pairs.  For every
 end-to-end metric that BENCHMARK.json declares, it prints each pair's two
 values, each side's median and quartiles, how many pairs the change won,
 the median's relative move and the metric's bound; it also prints each
-run's pass count and whether every run passed its checks.  It reads only BENCHMARK.json (from the change
-checkout) and the output of perfbench/run.py.
+run's pass count and whether every run passed its checks.  For
+`peak_rss_mb`, which grows with the pass count, it prints the base runs'
+least-squares MB per pass and the change's median offset from that line,
+so a move can be told apart as more passes or a larger working set.  It
+reads only BENCHMARK.json (from the change checkout) and the output of
+perfbench/run.py.
 
     python3 tools/perf_pairs.py --base ../parent --change . \\
         --workload desk-12db --pairs 10
@@ -100,6 +104,27 @@ def report(runs: dict, end_to_end: list[dict]) -> None:
             print(f"    change better {wins}/{len(values)} (ties {ties}); median {move:+.2%}, "
                   f"gain {gain:+.4g} against base IQR {bq[2] - bq[0]:.4g}; "
                   f"{'WORSE THAN BOUND' if worse > metric['bound'] else 'within bound'}")
+            if name == "peak_rss_mb":
+                print("    " + rss_per_pass(pairs, name))
+
+
+def rss_per_pass(pairs: list[dict], name: str) -> str:
+    """The least-squares MB per pass over the base runs, and the change's
+    median offset from that line at the change's own pass counts: an RSS
+    move that the pass count explains leaves the offset near 0."""
+    def points(side: str) -> np.ndarray:  # (runs, 2): passes, value
+        pts = [(p[side]["passes"], p[side]["metrics"].get(name, {}).get("value")) for p in pairs]
+        return np.array([pt for pt in pts if None not in pt], dtype=float).reshape(-1, 2)
+
+    base, change = points("base"), points("change")
+    if np.unique(base[:, 0]).size < 2:
+        return "per pass: the base runs' pass counts do not vary, so no line is fitted"
+    slope, intercept = np.polyfit(base[:, 0], base[:, 1], 1)
+    line = f"per pass: base fit {slope:.3g} MB/pass + {intercept:.4g} MB"
+    if not change.size:
+        return line
+    offset = float(np.median(change[:, 1] - (slope * change[:, 0] + intercept)))
+    return f"{line}; change median offset from that line {offset:+.3g} MB"
 
 
 def main() -> int:
