@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch
 from .demod.interp import ANCHOR, N_TAPS, lagrange_taps
 from .numerology import WaveformProfile
 
@@ -73,16 +72,3 @@ def apply(iq: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
         noise = rng.normal(scale=math.sqrt(sigma2 / 2.0), size=(y.size, 2))
         y = y + (noise[:, 0] + 1j * noise[:, 1]).astype(np.complex64)
     return y.astype(np.complex64)
-
-
-def measure_esn0(clean: np.ndarray, noisy: np.ndarray) -> float:
-    """Estimate Es/N0 in dB from a clean/noisy pair; +inf when noiseless."""
-    clean = np.asarray(clean)
-    noisy = np.asarray(noisy)
-    if clean.size != noisy.size:
-        raise LengthMismatch(f"{clean.size} vs {noisy.size} samples")
-    noise_power = float(np.mean(np.abs(noisy - clean) ** 2))
-    if noise_power == 0.0:
-        return math.inf
-    es = float(np.mean(np.abs(clean) ** 2)) * float(WaveformProfile.samples_per_symbol)
-    return 10.0 * math.log10(es / noise_power)

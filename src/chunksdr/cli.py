@@ -224,6 +224,9 @@ def cmd_monitor(args) -> int:
     except KeyError:
         print(f"error: no such tap {args.name!r}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if data.dtype == np.complex64:
         iqfile.write_cf32(args.output, data)
     else:

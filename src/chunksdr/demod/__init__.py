@@ -138,17 +138,15 @@ def demod_chunk(
     if taps is not None:
         taps.offer("phase", derotated)
 
+    result = ChunkDemodResult(
+        frames=[], skips=tracked.skips, repeats=tracked.repeats, stage_seconds=stage_t
+    )
     try:
         sync = frame_sync(derotated, tables.preamble, profile.frame_symbols, erased=erased)
     except NoPeak:
         stage_t["framesync"] = time.perf_counter() - t3
-        return ChunkDemodResult(
-            frames=[],
-            skips=tracked.skips,
-            repeats=tracked.repeats,
-            sync_failed=True,
-            stage_seconds=stage_t,
-        )
+        result.sync_failed = True
+        return result
     t4 = time.perf_counter()
     stage_t["framesync"] = t4 - t3
     if taps is not None:
@@ -160,7 +158,9 @@ def demod_chunk(
     # partially-covered frame belongs to a neighboring chunk), which also
     # keeps duplicate blocks bit-identical across chunks.
     rotation = np.exp(-1j * sync.rotation).astype(np.complex64)
-    frames: list[SoftFrame] = []
+    result.peak_ratio = sync.peak_ratio
+    result.noise_var = sync.noise_var
+    frames = result.frames
     frame_samples = profile.frame_samples
     n_pre = tables.preamble.symbols.size
     chunk_first = chunk.first_sample_number
@@ -188,11 +188,4 @@ def demod_chunk(
     if taps is not None:
         taps.offer("softbits", frames[-1].llrs if frames else np.zeros(0, np.float32))
 
-    return ChunkDemodResult(
-        frames=frames,
-        skips=tracked.skips,
-        repeats=tracked.repeats,
-        peak_ratio=sync.peak_ratio,
-        noise_var=sync.noise_var,
-        stage_seconds=stage_t,
-    )
+    return result

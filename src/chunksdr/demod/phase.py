@@ -11,7 +11,8 @@ The decision inputs do not depend on loop state: `angle(x)` and `|x|` are
 computed for the whole pass up front, and since |xhat| = 1 the power
 normalizer is each block's mean |x|^2.  The loop body is then scalar
 arithmetic over the block's 8 angle residuals; it records each block's
-(theta, phi), and the derotation runs once over all blocks after the loop.
+(theta, phi), and the derotation runs once over all blocks after the loop,
+a tail shorter than a block on the final state's ramp.
 """
 
 from __future__ import annotations
@@ -86,14 +87,11 @@ def _run_pass(
             freq = -FREQ_LIMIT
     if not collect:
         return theta, freq, None
-    out = np.empty(x.size, dtype=np.complex64)
-    phases = np.asarray(thetas)[:, None] + np.asarray(freqs)[:, None] * _RAMP
-    out[: n_blocks * PHASE_BLOCK] = (blocks * np.exp(-1j * phases)).ravel()
-    # tail shorter than a block: apply the last ramp, no update
-    tail = x.size - n_blocks * PHASE_BLOCK
-    if tail:
-        phases = theta + freq * _RAMP[:tail]
-        out[n_blocks * PHASE_BLOCK :] = x[n_blocks * PHASE_BLOCK :] * np.exp(-1j * phases)
+    # the final state's ramp derotates a tail shorter than a block, no update
+    thetas.append(theta)
+    freqs.append(freq)
+    phases = (np.asarray(thetas)[:, None] + np.asarray(freqs)[:, None] * _RAMP).ravel()
+    out = (x * np.exp(-1j * phases[: x.size])).astype(np.complex64)
     return theta, freq, out
 
 

@@ -14,10 +14,10 @@ sacrificed to the acquisition transient.
 
 Inside the loop each block is interpolated with one float64 matvec over the
 interleaved real/imaginary input, into a buffer whose fixed views feed the
-power and `gardner_ted`; the loop body otherwise runs on Python scalars.  It
-records each block's (q, tau, filter index); after the loop the emitted
-symbols are interpolated in batched gathers of 64 blocks, which bounds the
-transient window copy, and their positions in one step.
+power and `gardner_ted`; the loop body otherwise runs on Python scalars.
+The emitted symbols are the on-time half of those interpolants, kept per
+block as the loop computes them, and their positions follow from each
+block's start q + tau.
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ class _PassResult:
 
 
 _ROW = 2 * FLUSH - 1  # floats spanned by one 8-tap window in interleaved form
-_GATHER_BLOCKS = 64  # blocks whose emitted symbols are interpolated in one gather
 
 
 def _interleaved_bank() -> np.ndarray:
@@ -138,23 +137,21 @@ def _run_pass(
     early, ontime, late = buf[0:-1:2], buf[1::2], buf[2::2]
     q, tau, rate = q0, float(tau0), float(rate0)
     skips = repeats = 0
-    # per-block (q, tau, filter index), kept as flat lists of numbers so the
-    # loop allocates nothing the cyclic garbage collector tracks
-    qs: list[int] = []
-    taus: list[float] = []
-    fis: list[int] = []
+    # per block: its on-time interpolants and its start q + tau; the loop
+    # allocates nothing the cyclic garbage collector tracks
+    ontimes: list[np.ndarray] = []
+    starts: list[float] = []
     frozen = freeze_table(freeze, x.size)
 
     while q >= _WIN_LEFT and q - _WIN_LEFT + BLOCK_OUT <= n_rows:
         fi = int(tau * N_FILTERS + 0.5)
         if fi >= N_FILTERS:
             fi = N_FILTERS - 1
-        if collect:
-            qs.append(q)
-            taus.append(tau)
-            fis.append(fi)
         start = 2 * (q - _WIN_LEFT)
         np.dot(rows[start : start + 2 * BLOCK_OUT], bank[fi], out=y)
+        if collect:
+            ontimes.append(ontime.astype(np.complex64))
+            starts.append(q + tau)
         if not frozen[q]:
             power = float(np.dot(y, y)) / BLOCK_OUT + 1e-30
             err = gardner_ted(early, ontime, late) / ((BLOCK_OUT // 2) * power)
@@ -180,18 +177,10 @@ def _run_pass(
     result = _PassResult(q, tau, rate, skips, repeats, q0)
     if not collect:
         return result, None, None
-    q_arr = np.array(qs, dtype=np.int64)
-    taps = lagrange_bank()[np.array(fis, dtype=np.int64)][:, :, None]
-    # every on-time (even) output of every block: window base q - 3 + 2j;
-    # gathered _GATHER_BLOCKS blocks at a time to bound the window copy
-    on_time = np.arange(0, BLOCK_OUT, 2) - _WIN_LEFT
-    windows = sliding_window_view(wide, FLUSH)
-    symbols = np.empty((q_arr.size, BLOCK_OUT // 2), np.complex64)
-    for i in range(0, q_arr.size, _GATHER_BLOCKS):
-        base = q_arr[i : i + _GATHER_BLOCKS, None] + on_time
-        symbols[i : i + _GATHER_BLOCKS] = (windows[base] @ taps[i : i + _GATHER_BLOCKS])[..., 0]
-    positions = (q_arr + np.array(taus))[:, None] + 2.0 * np.arange(BLOCK_OUT // 2)
-    return result, symbols.ravel(), positions.ravel()
+    del rows, wide  # the widened input is done with; free it before the outputs
+    symbols = np.concatenate(ontimes) if ontimes else np.zeros(0, np.complex64)
+    positions = np.array(starts)[:, None] + 2.0 * np.arange(BLOCK_OUT // 2)
+    return result, symbols, positions.ravel()
 
 
 def freeze_table(freeze: int | np.ndarray, n: int) -> bytes:

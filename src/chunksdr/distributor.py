@@ -108,6 +108,7 @@ class AssemblyStats:
     chunks_dropped: int = 0  # never handed out: not one of their packets arrived
     chunks_partial: int = 0  # handed out with erased spans
     packets_missing: int = 0  # packets erased in the partial chunks
+    packets_malformed: int = 0  # dropped for a payload of the wrong length
     dropped_first_samples: list = field(default_factory=list)
 
     def add(self, other: "AssemblyStats") -> None:
@@ -115,6 +116,7 @@ class AssemblyStats:
         self.chunks_dropped += other.chunks_dropped
         self.chunks_partial += other.chunks_partial
         self.packets_missing += other.packets_missing
+        self.packets_malformed += other.packets_malformed
         self.dropped_first_samples.extend(other.dropped_first_samples)
 
 
@@ -129,7 +131,9 @@ class ChunkAssembler:
     belongs to its next chunk.  A closed window with missing packets is
     handed out with their spans zero-filled and listed in ``erased``
     (counted in ``chunks_partial`` and ``packets_missing``); one with no
-    packet at all is dropped (``chunks_dropped``).
+    packet at all is dropped (``chunks_dropped``).  A packet whose payload
+    is not ``packet_payload_bytes`` long is dropped on arrival and counted
+    in ``packets_malformed``; its span is erased as a lost packet's is.
     """
 
     def __init__(self, plan: Numerology, server_id: int, full_scale: float = 1.0):
@@ -153,6 +157,9 @@ class ChunkAssembler:
     def push(self, packet: Packet) -> list[ChunkRecord]:
         """Feed one packet (in delivery order); returns any chunks it closes."""
         plan = self.plan
+        if len(packet.payload) != plan.packet.packet_payload_bytes:
+            self.stats.packets_malformed += 1
+            return []
         out: list[ChunkRecord] = []
         # open windows this packet could start
         while True:

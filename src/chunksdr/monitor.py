@@ -12,6 +12,11 @@ Wire protocol (TCP, addresses carried in the adverts):
   JSON lines periodically; ``grab`` answers with a 16-byte binary header
   (magic ``CSDR``, u16 dtype code, u16 flags, u64 count) followed by the raw
   samples (complex64 or float32, little-endian).
+* any other request gets one ``{"error": ...}`` JSON line: one that is not
+  a JSON object, an unknown ``op``, or a grab whose ``name`` is not a
+  string, whose ``count`` is not an integer in [1, MAX_GRAB_COUNT], or
+  whose ``timeout`` (default GRAB_TIMEOUT) is not a number in
+  (0, MAX_GRAB_TIMEOUT].
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ MAGIC = b"CSDR"
 DTYPE_CODES = {"complex64": 1, "float32": 2}
 DTYPE_BY_CODE = {1: np.complex64, 2: np.float32}
 ADVERT_PERIOD = 1.0
+GRAB_TIMEOUT = 10.0  # seconds a grab waits when its request names no timeout
+MAX_GRAB_COUNT = 1 << 22  # samples one grab may ask for (32 MB of complex64)
+MAX_GRAB_TIMEOUT = 300.0  # seconds one grab may wait
 
 
 @dataclass(frozen=True)
@@ -140,7 +148,7 @@ class MonitorServer:
                     return
                 try:
                     req = json.loads(line)
-                except json.JSONDecodeError:
+                except (json.JSONDecodeError, UnicodeDecodeError):
                     self.wfile.write(b'{"error": "bad request"}\n')
                     return
                 outer._handle(req, self)
@@ -193,8 +201,12 @@ class MonitorServer:
                         if s in self._subscribers:
                             self._subscribers.remove(s)
 
-    def _handle(self, req: dict, handler) -> None:
-        op = req.get("op")
+    def _handle(self, req, handler) -> None:
+        refusal = _refusal(req)
+        if refusal is not None:
+            handler.wfile.write(json.dumps({"error": refusal}).encode() + b"\n")
+            return
+        op = req["op"]
         if op == "ls":
             payload = json.dumps([json.loads(a.to_json()) for a in self.adverts()])
             handler.wfile.write(payload.encode() + b"\n")
@@ -207,10 +219,10 @@ class MonitorServer:
                     pass
             except OSError:
                 pass
-        elif op == "grab":
+        else:
             name = req.get("name", "")
-            count = int(req.get("count", 0))
-            timeout = float(req.get("timeout", 10.0))
+            count = req["count"]
+            timeout = float(req.get("timeout", GRAB_TIMEOUT))
             tap = self._taps.get(name)
             if tap is None:
                 handler.wfile.write(MAGIC + np.array([0, 1], "<u2").tobytes() + np.array([0], "<u8").tobytes())
@@ -222,13 +234,30 @@ class MonitorServer:
                 handler.wfile.write(header + data.astype(DTYPE_BY_CODE[code]).tobytes())
             except CaptureTimeout:
                 handler.wfile.write(MAGIC + np.array([0, 2], "<u2").tobytes() + np.array([0], "<u8").tobytes())
-        else:
-            handler.wfile.write(b'{"error": "unknown op"}\n')
 
     def close(self) -> None:
         self._stop.set()
         self._server.shutdown()
         self._server.server_close()
+
+
+def _refusal(req) -> str | None:
+    """Why a decoded request is refused, or None when it is served."""
+    if not isinstance(req, dict):
+        return "request is not a JSON object"
+    op = req.get("op")
+    if op not in ("ls", "sub", "grab"):
+        return "unknown op"
+    if op != "grab":
+        return None
+    count, timeout = req.get("count"), req.get("timeout", GRAB_TIMEOUT)
+    if not isinstance(req.get("name", ""), str):
+        return "grab name is not a string"
+    if type(count) is not int or not 1 <= count <= MAX_GRAB_COUNT:
+        return f"grab count is not an integer in [1, {MAX_GRAB_COUNT}]"
+    if type(timeout) not in (int, float) or not 0 < timeout <= MAX_GRAB_TIMEOUT:
+        return f"grab timeout is not a number in (0, {MAX_GRAB_TIMEOUT:g}]"
+    return None
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -256,6 +285,9 @@ def monitor_grab(
     with socket.create_connection(address, timeout=timeout + 5.0) as sock:
         sock.sendall(req.encode() + b"\n")
         header = _recv_exact(sock, 16)
+        if header[:1] == b"{":  # a refused request: one JSON error line
+            reply = json.loads(header + sock.makefile("rb").readline())
+            raise ValueError(f"grab refused: {reply['error']}")
         if header[:4] != MAGIC:
             raise ValueError("bad capture reply")
         code, flags = np.frombuffer(header, "<u2", 2, 4)

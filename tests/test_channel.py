@@ -5,8 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from chunksdr.channel import ChannelConfig, apply, measure_esn0
+from chunksdr.channel import ChannelConfig, apply
 from chunksdr.errors import LengthMismatch
+from chunksdr.numerology import WaveformProfile
+
+
+def measure_esn0(clean: np.ndarray, noisy: np.ndarray) -> float:
+    """Estimate Es/N0 in dB from a clean/noisy pair; +inf when noiseless."""
+    clean = np.asarray(clean)
+    noisy = np.asarray(noisy)
+    if clean.size != noisy.size:
+        raise LengthMismatch(f"{clean.size} vs {noisy.size} samples")
+    noise_power = float(np.mean(np.abs(noisy - clean) ** 2))
+    if noise_power == 0.0:
+        return math.inf
+    es = float(np.mean(np.abs(clean) ** 2)) * float(WaveformProfile.samples_per_symbol)
+    return 10.0 * math.log10(es / noise_power)
 
 
 class TestClockOffset:

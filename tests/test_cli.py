@@ -11,7 +11,7 @@ import pytest
 import chunksdr
 from chunksdr.cli import main
 from chunksdr.e2e import run_e2e
-from chunksdr.monitor import MonitorServer
+from chunksdr.monitor import MAX_GRAB_COUNT, MonitorServer, MonitorTap
 from chunksdr.runtime import ReceiverContext
 
 
@@ -76,6 +76,20 @@ class TestExitCodes:
             server.close()
         assert rc == 1
         assert capsys.readouterr().err == "error: no such tap 'nope'\n"
+        assert not (tmp_path / "o.cf32").exists()
+
+    def test_monitor_grab_refused_exits_1(self, tmp_path, capsys):
+        server = MonitorServer(period=0.05)
+        try:
+            server.register(MonitorTap("idle@w0"))
+            host, port = server.address
+            rc = main(["monitor", "grab", "idle@w0", "-n", str(MAX_GRAB_COUNT + 1),
+                       "-o", str(tmp_path / "o.cf32"), "--addr", f"{host}:{port}"])
+        finally:
+            server.close()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grab refused: grab count is not an integer")
         assert not (tmp_path / "o.cf32").exists()
 
     @pytest.mark.parametrize("argv, n_bytes, message", [

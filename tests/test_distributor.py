@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from chunksdr import iqfile
 from chunksdr.distributor import (
+    AssemblyStats,
     ChunkAssembler,
     InProcessTransport,
     Packet,
@@ -132,6 +133,34 @@ class TestAssembly:
         assert (asm.stats.chunks_emitted, asm.stats.chunks_dropped) == (2, 0)
         assert (asm.stats.chunks_partial, asm.stats.packets_missing) == (1, 1)
         assert asm.stats.dropped_first_samples == []
+
+    @pytest.mark.parametrize(
+        "size", [447, 428, 450], ids=["odd-length", "20-bytes-short", "2-bytes-long"]
+    )
+    def test_malformed_packet_is_counted_and_erased(self, desk_plan, size):
+        """A payload of the wrong length is dropped on arrival and counted;
+        its chunk keeps its length, with the packet's span erased as a lost
+        packet's is, and the stream goes on."""
+        plan = desk_plan
+        spp = plan.packet.samples_per_packet
+        n = plan.chunk.advance_packets + plan.chunk.packets_per_chunk
+        rng = np.random.default_rng(6)
+        iq = (rng.normal(size=n * spp) + 1j * rng.normal(size=n * spp)).astype(np.complex64) * 0.2
+        packets = packetize(iq, plan).packets
+        payload = (packets[5].payload * 2)[:size]
+        packets[5] = Packet(packet_number=5, payload=payload)
+        chunks, stats = subscribe_and_assemble(packets, plan, 0)
+        assert [len(c.samples) for c in chunks] == [plan.chunk.chunk_samples] * len(chunks)
+        assert chunks[0].first_sample_number == 0
+        assert chunks[0].erased == ((5 * spp, 6 * spp),)
+        want = iqfile.quantize_int8(iq[: plan.chunk.chunk_samples]).view(iqfile.SC8)
+        want[5 * spp : 6 * spp] = np.zeros(1, iqfile.SC8)
+        assert chunks[0].samples.tobytes() == want.tobytes()
+        assert (stats.packets_malformed, stats.chunks_partial, stats.packets_missing) == (1, 1, 1)
+        total = AssemblyStats()
+        total.add(stats)
+        total.add(stats)
+        assert total.packets_malformed == 2
 
     def test_lost_last_packet_closes_at_the_next_packet(self, desk_plan):
         """Without its last packet a window closes at the server's next

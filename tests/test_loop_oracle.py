@@ -19,7 +19,7 @@ from chunksdr.demod import (
     phase,
     timing,
 )
-from chunksdr.demod.filters import resample_matched_filter
+from chunksdr.demod.filters import outputs_touched, resample_matched_filter
 from chunksdr.demod.interp import N_FILTERS, lagrange_bank
 from chunksdr.demod.phase import FREQ_LIMIT, PHASE_BLOCK, track_phase_two_pass
 from chunksdr.demod.timing import (
@@ -135,27 +135,66 @@ def _ref_timing_pass(
     return result, symbols, positions
 
 
+class _FrozenWhere:
+    """A `freeze_below` stand-in that lets the references above follow a
+    freeze mask: the timing reference tests `q >= freeze_below` and the
+    phase reference `i < freeze_below`, and both comparisons fall through
+    to this object, which answers them from the mask.  `freeze` is what the
+    shipped passes take: a boolean mask, or an int n for the first n
+    indices."""
+
+    def __init__(self, freeze, n):
+        if isinstance(freeze, int):
+            freeze = np.arange(n) < freeze
+        self.frozen = np.asarray(freeze, dtype=bool)
+
+    def __le__(self, q):  # q >= freeze_below: the block updates the loop
+        return not self.frozen[q]
+
+    def __gt__(self, i):  # i < freeze_below: the block coasts
+        return bool(self.frozen[i])
+
+
+def _masked_timing_pass(x, q0, tau0, rate0, kp, ki, collect, freeze=0):
+    return _ref_timing_pass(x, q0, tau0, rate0, kp, ki, collect, _FrozenWhere(freeze, x.size))
+
+
+def _masked_phase_pass(x, theta, freq, kp, ki, collect, freeze=0):
+    return _ref_phase_pass(x, theta, freq, kp, ki, collect, _FrozenWhere(freeze, x.size))
+
+
 @pytest.fixture(scope="module")
-def resampled_chunks(desk_ctx):
-    """Desk chunks at 12 dB, 10 ppm and a carrier offset, resampled the way
-    demod_chunk does (head pad, then the matched-filter resampler)."""
+def desk_rx(desk_ctx):
+    """A desk stream at 12 dB, 10 ppm and a carrier offset, long enough
+    for N_CHUNKS chunks."""
     plan = desk_ctx.plan
     advance = plan.chunk.advance_samples
     n_frames = ((N_CHUNKS - 1) * advance + plan.chunk.chunk_samples) // plan.frame_samples + 2
     stream = generate_stream(plan.profile, desk_ctx.codec, n_frames, seed=31)
-    rx = chan_apply(
+    return chan_apply(
         stream.samples,
         ChannelConfig.for_profile(
             plan.profile, clock_offset_ppm=10, carrier_freq_offset=5e-5,
             initial_phase=0.7, esn0_db=12.0, seed=32,
         ),
     )
-    chunks = []
-    for i in range(N_CHUNKS):
-        samples = rx[i * advance : i * advance + plan.chunk.chunk_samples]
-        padded = np.concatenate([np.zeros(HEAD_PAD_SAMPLES, np.complex64), samples])
-        chunks.append(resample_matched_filter(padded, desk_ctx.tables.rx_taps))
-    return chunks
+
+
+def _resample(desk_ctx, samples):
+    """Resampled the way demod_chunk does: head pad, then the
+    matched-filter resampler."""
+    padded = np.concatenate([np.zeros(HEAD_PAD_SAMPLES, np.complex64), samples])
+    return resample_matched_filter(padded, desk_ctx.tables.rx_taps)
+
+
+@pytest.fixture(scope="module")
+def resampled_chunks(desk_ctx, desk_rx):
+    plan = desk_ctx.plan
+    advance = plan.chunk.advance_samples
+    return [
+        _resample(desk_ctx, desk_rx[i * advance : i * advance + plan.chunk.chunk_samples])
+        for i in range(N_CHUNKS)
+    ]
 
 
 def _track_symbols(profile, y):
@@ -213,3 +252,71 @@ def test_timing_pass_reaches_the_input_end(blocks):
     assert got[0].q == want[0].q
     assert got[1].size == want[1].size == blocks * BLOCK_OUT // 2
     np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-6)
+
+
+def test_timing_pass_fitting_no_block_is_empty():
+    """An input one sample short of a block's window emits nothing."""
+    x = np.ones(BLOCK_OUT + FLUSH - 2, np.complex64)
+    result, symbols, positions = timing._run_pass(x, _WIN_LEFT, 0.25, 0.0, 0.01, 1e-4, True)
+    assert result.q == _WIN_LEFT and (result.skips, result.repeats) == (0, 0)
+    assert symbols.dtype == np.complex64 and symbols.shape == (0,)
+    assert positions.dtype == np.float64 and positions.shape == (0,)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 17])
+def test_phase_tail_matches_reference(desk_ctx, monkeypatch, n):
+    """A tail alone, whole blocks, and a tail after blocks: every symbol is
+    derotated, a tail on the ramp of the state the last block left."""
+    profile = desk_ctx.plan.profile
+    rng = np.random.default_rng(n)
+    x = (_POINTS[rng.integers(0, 8, n)] * np.exp(0.3j + 0.05j * np.arange(n))).astype(np.complex64)
+    got, got_theta, got_freq = track_phase_two_pass(x, profile.phase_loop_bw, n // 2)
+    monkeypatch.setattr(phase, "_run_pass", _ref_phase_pass)
+    want, want_theta, want_freq = track_phase_two_pass(x, profile.phase_loop_bw, n // 2)
+    assert got.dtype == want.dtype == np.complex64 and got.size == want.size == n
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+    assert abs(got_theta - want_theta) <= 1e-9 and abs(got_freq - want_freq) <= 1e-9
+    if n >= PHASE_BLOCK:
+        assert got_theta != 0.0  # the blocks moved the loop
+
+
+def test_loops_on_a_lossy_chunk_match_masked_references(desk_ctx, desk_rx, monkeypatch):
+    """Erased spans, one inside the warmup and one past it, mapped to the
+    hold mask as demod_chunk maps them: both loops coast over the blocks
+    the mask touches in both passes, as the per-block references do."""
+    plan = desk_ctx.plan
+    profile = plan.profile
+    spp = plan.packet.samples_per_packet
+    samples = desk_rx[: plan.chunk.chunk_samples].copy()
+    spans = [(5 * spp, 6 * spp), (60 * spp, 62 * spp)]
+    for a, b in spans:
+        samples[a:b] = 0
+    y = _resample(desk_ctx, samples)
+    hold = outputs_touched([(a + HEAD_PAD_SAMPLES, b + HEAD_PAD_SAMPLES) for a, b in spans], y.size)
+    warmup = min(2 * profile.warmup_symbols, y.size // 2)
+    assert hold[:warmup].any() and hold[warmup:].any()
+
+    def run_both():
+        t = track_symbols_two_pass(
+            y, profile.timing_loop_bw, warmup=warmup, head_guard=HEAD_GUARD_RESAMPLED, hold=hold
+        )
+        p = track_phase_two_pass(
+            t.symbols, profile.phase_loop_bw, min(profile.warmup_symbols, t.symbols.size // 2),
+            head_guard=HEAD_GUARD_SYMBOLS, hold=t.held,
+        )
+        return t, p
+
+    got, (got_ph, got_theta, got_freq) = run_both()
+    monkeypatch.setattr(timing, "_run_pass", _masked_timing_pass)
+    monkeypatch.setattr(phase, "_run_pass", _masked_phase_pass)
+    want, (want_ph, want_theta, want_freq) = run_both()
+    assert got.held.any()
+    assert (got.skips, got.repeats, got.consumed_samples) == (
+        want.skips, want.repeats, want.consumed_samples
+    )
+    np.testing.assert_array_equal(got.held, want.held)
+    np.testing.assert_allclose(got.symbols, want.symbols, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(got.positions, want.positions, rtol=0, atol=1e-9)
+    assert abs(got.rate - want.rate) <= 1e-9
+    np.testing.assert_allclose(got_ph, want_ph, rtol=0, atol=1e-6)
+    assert abs(got_theta - want_theta) <= 1e-9 and abs(got_freq - want_freq) <= 1e-9

@@ -1,5 +1,7 @@
 """Monitor taps: adverts, remote capture, idle cost."""
 
+import json
+import socket
 import threading
 import time
 
@@ -177,3 +179,37 @@ class TestCapture:
         t.join()
         first = int(data[0].real)
         np.testing.assert_array_equal(data.real, np.arange(first, first + 1500))
+
+
+class TestBadRequests:
+    """A request the server cannot serve gets one `{"error": ...}` line at
+    once, and the server keeps serving."""
+
+    @staticmethod
+    def _reply(server, line: bytes) -> bytes:
+        with socket.create_connection(server.address, timeout=2.0) as sock:
+            sock.sendall(line + b"\n")
+            return sock.makefile("rb").readline()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"[1, 2]",
+            b'"ls"',
+            b'{"op": "grab", "name": "idle@w0", "count": "abc"}',
+            b'{"op": "grab", "name": "idle@w0", "count": -5, "timeout": 5}',
+            b'{"op": "grab", "name": "idle@w0", "count": 10, "timeout": NaN}',
+            b'{"op": "grab", "name": "idle@w0", "count": 10, "timeout": Infinity}',
+            b'{"op": "grab", "name": ["idle@w0"], "count": 10}',
+            b"\xff{}",
+        ],
+        ids=[
+            "list", "string", "count-abc", "count-negative", "timeout-nan",
+            "timeout-infinity", "name-list", "not-utf8",
+        ],
+    )
+    def test_error_reply(self, server, line):
+        server.register(MonitorTap("idle@w0"))
+        reply = self._reply(server, line)
+        assert reply.endswith(b"\n") and set(json.loads(reply)) == {"error"}
+        assert [ad.name for ad in monitor_ls(server.address)] == ["idle@w0"]

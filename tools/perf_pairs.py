@@ -7,7 +7,9 @@ first in even pairs and the change first in odd pairs.  For every
 end-to-end metric that BENCHMARK.json declares, it prints each pair's two
 values, each side's median and quartiles, how many pairs the change won,
 the median's relative move and the metric's bound; it also prints each
-run's pass count and whether every run passed its checks.  For
+run's pass count and whether every run passed its checks, and for each
+failing run its side, workload and seed, the checks it failed and, on a
+non-zero exit, its last line of standard error.  For
 `peak_rss_mb`, which grows with the pass count, it prints the base runs'
 least-squares MB per pass and the change's median offset from that line,
 so a move can be told apart as more passes or a larger working set.  It
@@ -31,10 +33,13 @@ import numpy as np
 
 SIDES = ("base", "change")
 _PASSES = re.compile(r"measured [\d.]+ s in (\d+) pass")
+_CHECK_FAIL = re.compile(r"^\s*check FAIL: (.*)$", re.MULTILINE)
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict:
-    """One perfbench run: its final JSON line plus the pass count."""
+    """One perfbench run: its final JSON line plus the pass count, the
+    names of the checks it failed and, on a non-zero exit, its last line of
+    standard error."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -47,6 +52,9 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
     match = _PASSES.search(proc.stdout)
     record["passes"] = int(match.group(1)) if match else None
     record["exit_code"] = proc.returncode
+    record["failed_checks"] = _CHECK_FAIL.findall(proc.stdout)
+    if proc.returncode:
+        record["error"] = (proc.stderr.strip().splitlines() or ["no output"])[-1]
     return record
 
 
@@ -82,6 +90,15 @@ def report(runs: dict, end_to_end: list[dict]) -> None:
             attempted = sum(p[side]["attempted"] for p in pairs)
             print(f"  {side:<6} runs passing every check {ok}/{len(pairs)}; "
                   f"operations failed {failed}/{attempted}; passes {passes}")
+        for seed, pair in enumerate(pairs):
+            for side in SIDES:
+                run = pair[side]
+                if run["correct"] and run["exit_code"] == 0:
+                    continue
+                why = [f"check FAIL: {name}" for name in run["failed_checks"]]
+                if run["exit_code"]:
+                    why.append(f"exit {run['exit_code']}: {run['error']}")
+                print(f"  FAILED {side} {workload} seed {seed}: " + "; ".join(why))
         for metric in end_to_end:
             name, higher = metric["name"], metric["better"] == "higher"
             values = [(p["base"]["metrics"].get(name, {}).get("value"),
