@@ -51,9 +51,15 @@ def _parse_workers(text: str) -> list[int]:
     return [_parse_count(c) for c in text.split(",")]
 
 
-def _parse_seconds(text: str) -> float:
+def _parse_positive(text: str) -> float:
     if not 0 < float(text) < float("inf"):  # also rejects nan
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return float(text)
+
+
+def _parse_finite(text: str) -> float:
+    if not -float("inf") < float(text) < float("inf"):  # also rejects nan
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return float(text)
 
 
@@ -255,10 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, profile=False)
     sp.add_argument("-i", "--input", required=True)
     sp.add_argument("-o", "--output", required=True)
-    sp.add_argument("--ppm", type=float, default=0.0, help="clock offset, ppm")
-    sp.add_argument("--freq", type=float, default=0.0, help="carrier offset, cycles/sample")
-    sp.add_argument("--phase", type=float, default=0.0, help="initial phase, radians")
-    sp.add_argument("--esn0", type=float, default=None, help="Es/N0 in dB (omit: noiseless)")
+    sp.add_argument("--ppm", type=_parse_finite, default=0.0, help="clock offset, ppm")
+    sp.add_argument("--freq", type=_parse_finite, default=0.0, help="carrier offset, cycles/sample")
+    sp.add_argument("--phase", type=_parse_finite, default=0.0, help="initial phase, radians")
+    sp.add_argument("--esn0", type=_parse_finite, default=None,
+                    help="Es/N0 in dB (omit: noiseless)")
     sp.set_defaults(func=cmd_channel)
 
     sp = sub.add_parser("distribute", help="packetize and distribute an IQ file")
@@ -269,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     dest.add_argument("--udp", action="store_true", help="send over UDP multicast instead")
     sp.add_argument("--servers", type=_parse_count, default=1)
     sp.add_argument("--loss-rate", type=_parse_probability, default=0.0)
-    sp.add_argument("--full-scale", type=float, default=DEFAULT_FULL_SCALE)
+    sp.add_argument("--full-scale", type=_parse_positive, default=DEFAULT_FULL_SCALE)
     sp.set_defaults(func=cmd_distribute)
 
     sp = sub.add_parser("demod", help="demodulate an IQ file into decoded blocks")
@@ -278,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", required=True, help="block-message output file")
     sp.add_argument("--servers", type=_parse_count, default=1)
     sp.add_argument("--workers", type=_parse_count, default=1)
-    sp.add_argument("--full-scale", type=float, default=DEFAULT_FULL_SCALE)
+    sp.add_argument("--full-scale", type=_parse_positive, default=DEFAULT_FULL_SCALE)
     sp.set_defaults(func=cmd_demod)
 
     sp = sub.add_parser("stitch", help="reorder decoded-block files into a bitstream")
@@ -291,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("e2e", help="full tx -> channel -> distribute -> demod -> stitch loop")
     common(sp)
     sp.add_argument("--frames", type=_parse_count, default=64)
-    sp.add_argument("--esn0", type=float, default=12.0)
-    sp.add_argument("--ppm", type=float, default=0.0)
-    sp.add_argument("--freq", type=float, default=0.0, help="carrier offset, cycles/SYMBOL")
+    sp.add_argument("--esn0", type=_parse_finite, default=12.0)
+    sp.add_argument("--ppm", type=_parse_finite, default=0.0)
+    sp.add_argument("--freq", type=_parse_finite, default=0.0, help="carrier offset, cycles/SYMBOL")
     sp.add_argument("--workers", type=_parse_count, default=default_workers())
     sp.add_argument("--servers", type=_parse_count, default=1)
     sp.add_argument("--loss-rate", type=_parse_probability, default=0.0)
@@ -305,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--workers", type=_parse_workers, default="1,2,4")
     sp.add_argument("--chunks", type=_parse_count, default=8, help="corpus size (chunks)")
-    sp.add_argument("--seconds", type=_parse_seconds, default=None,
+    sp.add_argument("--seconds", type=_parse_positive, default=None,
                     help="cycle the corpus for this long per backend and worker count")
     sp.add_argument("--out", help="JSON report path, or - for stdout")
     sp.set_defaults(func=cmd_bench)

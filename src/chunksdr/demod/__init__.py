@@ -177,7 +177,6 @@ def demod_chunk(
                 sync.noise_var,
                 start_sample_number=start,
                 expected_symbols=profile.payload_symbols,
-                columns=profile.bits_per_symbol,
                 erased=None if erased is None else erased[
                     start_sym + n_pre : start_sym + profile.frame_symbols
                 ],

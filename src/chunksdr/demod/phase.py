@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .timing import freeze_table, loop_gains, touching
+from .timing import loop_gains, touching
 
 PHASE_BLOCK = 8
 
@@ -46,16 +46,16 @@ def _run_pass(
     kp: float,
     ki: float,
     collect: bool,
-    freeze: int | np.ndarray = 0,
+    freeze: np.ndarray,
 ):
     """One directional pass; x is already oriented in processing order.
 
-    A block starting at symbol index i where the boolean mask `freeze` is
-    set (an int n stands for the first n indices) is derotated on the
-    running ramp but does not update the loop.
+    A block starting at symbol index i where the boolean mask `freeze` (one
+    entry per symbol) is set is derotated on the running ramp but does not
+    update the loop.
     """
     n_blocks = x.size // PHASE_BLOCK
-    frozen = freeze_table(freeze, x.size)
+    frozen = freeze.tobytes()  # one byte per index, read once per block
     blocks = x[: n_blocks * PHASE_BLOCK].reshape(n_blocks, PHASE_BLOCK)
     wide = blocks.astype(np.complex128)
     power = np.mean(wide.real**2 + wide.imag**2, axis=1) + 1e-30
@@ -120,7 +120,7 @@ def track_phase_two_pass(
     kp, ki = loop_gains(loop_bw * PHASE_BLOCK, detector_gain=1.0)
     theta = freq = 0.0
     if warmup > head_guard + 2 * PHASE_BLOCK:
-        freeze = 0
+        freeze = np.zeros(warmup - head_guard, bool)
         if hold is not None:
             freeze = touching(hold[head_guard:warmup][::-1], 0, PHASE_BLOCK)
         theta, freq, _ = _run_pass(
@@ -129,9 +129,9 @@ def track_phase_two_pass(
         freq = -freq  # second-order term flips with processing direction
         # theta converged at the guard boundary; rewind the ramp to symbol 0
         theta = _wrap(theta - freq * head_guard)
-    freeze = head_guard
+    freeze = np.zeros(x.size, bool)
     if hold is not None:
         freeze = touching(hold, 0, PHASE_BLOCK)
-        freeze[:head_guard] = True
+    freeze[:head_guard] = True
     theta, freq, out = _run_pass(x, theta, freq, kp, ki, True, freeze)
     return out, theta, freq

@@ -51,7 +51,6 @@ def llr_map_deinterleave(
     noise_var: float,
     start_sample_number: int = 0,
     expected_symbols: int | None = None,
-    columns: int = 3,
     erased: np.ndarray | None = None,
 ) -> SoftFrame:
     """LLRs for one frame's payload, in codeword order: deinterleaved, then
@@ -68,10 +67,11 @@ def llr_map_deinterleave(
             f"{payload_symbols.size} payload symbols, expected {expected_symbols}"
         )
     llrs = llr_map(payload_symbols, noise_var)
+    columns = llrs.shape[1]
     erased_bits = None
     if erased is not None and erased.any():
         llrs[erased] = 0.0
-        erased_bits = unorder_codeword(deinterleave(np.repeat(erased, llrs.shape[1]), columns))
+        erased_bits = unorder_codeword(deinterleave(np.repeat(erased, columns), columns))
     return SoftFrame(
         start_sample_number=start_sample_number,
         llrs=unorder_codeword(deinterleave(llrs.reshape(-1), columns)),

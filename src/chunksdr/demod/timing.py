@@ -118,14 +118,14 @@ def _run_pass(
     kp: float,
     ki: float,
     collect: bool,
-    freeze: int | np.ndarray = 0,
+    freeze: np.ndarray,
 ):
     """One directional pass; x is already oriented in processing order.
 
-    A block starting at input index q where the boolean mask `freeze` is set
-    (an int n stands for the first n indices) is interpolated and emitted
-    but does not update the loop: the chunk head's filter-edge samples, or
-    the edges of an erased span, would poison the converged state.
+    A block starting at input index q where the boolean mask `freeze` (one
+    entry per input) is set is interpolated and emitted but does not update
+    the loop: the chunk head's filter-edge samples, or the edges of an
+    erased span, would poison the converged state.
     """
     wide = x.astype(np.complex128)
     rows = sliding_window_view(wide.view(np.float64), _ROW)
@@ -141,7 +141,7 @@ def _run_pass(
     # allocates nothing the cyclic garbage collector tracks
     ontimes: list[np.ndarray] = []
     starts: list[float] = []
-    frozen = freeze_table(freeze, x.size)
+    frozen = freeze.tobytes()  # one byte per index, read once per block
 
     while q >= _WIN_LEFT and q - _WIN_LEFT + BLOCK_OUT <= n_rows:
         fi = int(tau * N_FILTERS + 0.5)
@@ -181,15 +181,6 @@ def _run_pass(
     symbols = np.concatenate(ontimes) if ontimes else np.zeros(0, np.complex64)
     positions = np.array(starts)[:, None] + 2.0 * np.arange(BLOCK_OUT // 2)
     return result, symbols, positions.ravel()
-
-
-def freeze_table(freeze: int | np.ndarray, n: int) -> bytes:
-    """One byte per input index, nonzero where a block starting there is
-    frozen; the loops index it once per block."""
-    if isinstance(freeze, int):
-        head = min(freeze, n)
-        return b"\x01" * head + bytes(n - head)
-    return np.asarray(freeze, dtype=bool).tobytes()
 
 
 def touching(held: np.ndarray, before: int, after: int) -> np.ndarray:
@@ -243,7 +234,7 @@ def track_symbols_two_pass(
                 f"warmup {warmup} leaves no samples past the {head_guard} head guard"
             )
         xr = x[head_guard:warmup][::-1]
-        freeze = 0
+        freeze = np.zeros(xr.size, bool)
         if hold is not None:
             freeze = touching(hold[head_guard:warmup][::-1], _READ_BEFORE, _READ_AFTER)
         back, _, _ = _run_pass(xr, _WIN_LEFT, tau0, rate0, kp, ki, False, freeze)
@@ -255,10 +246,10 @@ def track_symbols_two_pass(
         tau0 = cf - q0
         rate0 = -back.rate
 
-    freeze = head_guard
+    freeze = np.zeros(x.size, bool)
     if hold is not None:
         freeze = touching(hold, _READ_BEFORE, _READ_AFTER)
-        freeze[:head_guard] = True
+    freeze[:head_guard] = True
     fwd, symbols, positions = _run_pass(x, q0, tau0, rate0, kp, ki, True, freeze)
     held = None
     if hold is not None:

@@ -73,11 +73,9 @@ def run_e2e(
     esn0_db: float | None = 12.0,
     ppm: float = 0.0,
     freq_per_symbol: float = 0.0,
-    initial_phase: float = 0.0,
     workers: int = 1,
     seed: int = 0,
     loss_rate: float = 0.0,
-    full_scale: float = DEFAULT_FULL_SCALE,
     taps_factory=None,
 ) -> E2EResult:
     t_start = time.perf_counter()
@@ -89,13 +87,14 @@ def run_e2e(
         profile,
         clock_offset_ppm=ppm,
         carrier_freq_offset=freq_per_symbol / float(profile.samples_per_symbol),
-        initial_phase=initial_phase,
         esn0_db=esn0_db,
         seed=seed + 1,
     )
     rx = chan_apply(stream.samples, cfg)
 
-    chunks, assembly = receive_chunks(rx, plan, full_scale, loss_rate=loss_rate, seed=seed + 2)
+    chunks, assembly = receive_chunks(
+        rx, plan, DEFAULT_FULL_SCALE, loss_rate=loss_rate, seed=seed + 2
+    )
 
     result: PipelineResult = run_pipeline(chunks, ctx, workers=workers, taps_factory=taps_factory)
 

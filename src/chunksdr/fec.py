@@ -294,18 +294,12 @@ class LdpcCodec:
         out[self.seg_row] = np.bitwise_xor.reduceat(bits[self.edge_col], self.seg_start)
         return out
 
-    def decode(
-        self,
-        llrs: np.ndarray,
-        early_termination: bool = True,
-        max_iterations: int = MAX_ITERATIONS,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Decode a batch of LLR rows.
+    def decode(self, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Decode a batch of LLR rows in at most `MAX_ITERATIONS` iterations.
 
         Returns (codeword bits, converged flags, iterations run).  The output
-        for each word is its first syndrome-zero hard decision; early
-        termination only skips the remaining compute for converged words, so
-        it never changes the result.
+        for each word is its first syndrome-zero hard decision, and a word
+        leaves the batch once it has one.
 
         Messages are edge-major, (words, edges) in row order, so each check
         row is a contiguous segment and the check-node update is segment
@@ -317,12 +311,12 @@ class LdpcCodec:
         the words still iterating.
         """
         llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float32))
-        batch, n = llrs.shape
+        n = llrs.shape[1]
         if n != self.n:
             raise LengthMismatch(f"{n} LLRs per word, expected {self.n}")
         out_bits = (llrs < 0).astype(np.uint8)
         done = self._syndrome_ok(out_bits)
-        words = np.flatnonzero(~done) if early_termination else np.arange(batch)
+        words = np.flatnonzero(~done)
         if not words.size:
             return out_bits, done, 0
         ne, seg, edge_seg = self.n_edges, self.seg_start, self.edge_seg
@@ -333,8 +327,8 @@ class LdpcCodec:
         sgn_buf, flag_buf = np.empty((2, words.size, ne), bool)
         sum_buf = np.empty((words.size, n), np.float32)
         iterations = 0
-        for it in range(max_iterations):
-            if done.all():
+        for it in range(MAX_ITERATIONS):
+            if not words.size:
                 break
             iterations = it + 1
             w = words.size
@@ -367,10 +361,9 @@ class LdpcCodec:
             np.take(total, self.edge_col, axis=1, out=v2c, mode="clip")
             v2c -= msg
             ok_now = self._syndrome_ok(total < 0)
-            first_time = ok_now & ~done[words]
-            out_bits[words[first_time]] = total[first_time] < 0
+            out_bits[words[ok_now]] = total[ok_now] < 0
             done[words[ok_now]] = True
-            if early_termination and ok_now.any():
+            if ok_now.any():
                 words, llr_w, v2c = words[~ok_now], llr_w[~ok_now], v2c[~ok_now]
         return out_bits, done, iterations
 

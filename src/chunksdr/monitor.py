@@ -39,6 +39,7 @@ ADVERT_PERIOD = 1.0
 GRAB_TIMEOUT = 10.0  # seconds a grab waits when its request names no timeout
 MAX_GRAB_COUNT = 1 << 22  # samples one grab may ask for (32 MB of complex64)
 MAX_GRAB_TIMEOUT = 300.0  # seconds one grab may wait
+SERVE_POLL = 0.05  # seconds between the serving loop's shutdown checks; bounds `close`
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,9 @@ class MonitorServer:
         self._server.daemon_threads = True
         self.address: tuple[str, int] = self._server.server_address[:2]
         self._threads = [
-            threading.Thread(target=self._server.serve_forever, daemon=True),
+            threading.Thread(
+                target=self._server.serve_forever, args=(SERVE_POLL,), daemon=True
+            ),
             threading.Thread(target=self._advert_loop, daemon=True),
         ]
         self._stop = threading.Event()

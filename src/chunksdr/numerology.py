@@ -2,7 +2,9 @@
 
 Everything downstream (modem, distributor, demod workers, combiner) consumes
 a validated :class:`Numerology` built here.  Plans are immutable and safe to
-share across threads and processes.
+share across threads and processes.  A value every profile shares is a
+constant here; a profile file sets only the keys that differ between
+profiles.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .errors import (
 # Extra interpolator-flush samples on top of the clock-slack bound.
 EXTRA_SAMPLE_MARGIN = 8
 
+# Multicast groups a chunk spans.  Consecutive chunks share their boundary
+# group, so a chunk advances by one group fewer than it spans.
+GROUPS_PER_CHUNK = 17
+
 # Transmit position p of an n-bit codeword carries bit (a * p mod n), with a
 # this multiplier (see `modem.codeword_order`): a permutation whenever a and n
 # are coprime, which, a being prime, is every n it does not divide.
@@ -36,18 +42,20 @@ class WaveformProfile:
 
     The input oversampling (8/5, rational so that frame boundaries land on
     integer samples) and the 8PSK constellation are fixed by the modem and
-    receiver, so they are class constants rather than profile keys.
+    receiver.  The pulse rolloff, the clock-offset bound the chunk overlap
+    covers and the preamble seed are the same in every profile.  All five
+    are class constants rather than profile keys.
     """
 
     samples_per_symbol: ClassVar[Fraction] = Fraction(8, 5)
     bits_per_symbol: ClassVar[int] = 3
+    rolloff: ClassVar[float] = 0.25
+    max_clock_offset_ppm: ClassVar[float] = 10.0
+    preamble_seed: ClassVar[int] = 2001
 
     name: str
     preamble_symbols: int = 90
     payload_symbols: int = 21600
-    rolloff: float = 0.25
-    max_clock_offset_ppm: float = 10.0
-    preamble_seed: int = 2001
     codec: str = "passthrough"
     timing_loop_bw: float = 1e-4
     phase_loop_bw: float = 5e-4
@@ -72,8 +80,6 @@ class WaveformProfile:
         return self.payload_symbols * self.bits_per_symbol
 
     def validate(self) -> None:
-        if not 0.0 < self.rolloff <= 1.0:
-            raise NumerologyError(f"rolloff {self.rolloff} outside (0, 1]")
         if self.preamble_symbols <= 0 or self.payload_symbols <= 0:
             raise NumerologyError("frame must have preamble and payload symbols")
         if math.gcd(self.payload_bits, CODEWORD_ORDER_MULTIPLIER) != 1:
@@ -86,8 +92,9 @@ class WaveformProfile:
 
 @dataclass(frozen=True)
 class PacketPlan:
+    packets_per_group: ClassVar[int] = 8
+
     samples_per_packet: int
-    packets_per_group: int = 8
 
     @property
     def packet_payload_bytes(self) -> int:
@@ -100,8 +107,10 @@ class PacketPlan:
 
 @dataclass(frozen=True)
 class ChunkPlan:
-    groups_per_chunk: int
-    packets_per_group: int
+    groups_per_chunk: ClassVar[int] = GROUPS_PER_CHUNK
+    advance_groups: ClassVar[int] = GROUPS_PER_CHUNK - 1
+    packets_per_group: ClassVar[int] = PacketPlan.packets_per_group
+
     samples_per_packet: int
     frame_samples: int
     extra_samples: int
@@ -117,10 +126,6 @@ class ChunkPlan:
     @property
     def samples_per_group(self) -> int:
         return self.packets_per_group * self.samples_per_packet
-
-    @property
-    def advance_groups(self) -> int:
-        return self.groups_per_chunk - 1
 
     @property
     def advance_packets(self) -> int:
@@ -142,9 +147,10 @@ class ChunkPlan:
 
 @dataclass(frozen=True)
 class DistributionPlan:
+    groups_per_chunk: ClassVar[int] = ChunkPlan.groups_per_chunk
+    advance_groups: ClassVar[int] = ChunkPlan.advance_groups
+
     num_servers: int
-    groups_per_chunk: int
-    advance_groups: int
 
     @property
     def total_groups(self) -> int:
@@ -177,7 +183,6 @@ def make_numerology(
     profile: WaveformProfile,
     packet: PacketPlan,
     servers: int = 1,
-    groups_per_chunk: int = 17,
 ) -> Numerology:
     """Derive and validate the full plan; fails rather than silently rounding."""
     profile.validate()
@@ -189,14 +194,12 @@ def make_numerology(
         )
 
     frame_samples = profile.frame_samples
-    chunk_samples = groups_per_chunk * packet.samples_per_group
+    chunk_samples = GROUPS_PER_CHUNK * packet.samples_per_group
     extra = (
         math.ceil(chunk_samples * profile.max_clock_offset_ppm * 1e-6)
         + EXTRA_SAMPLE_MARGIN
     )
     chunk = ChunkPlan(
-        groups_per_chunk=groups_per_chunk,
-        packets_per_group=packet.packets_per_group,
         samples_per_packet=packet.samples_per_packet,
         frame_samples=frame_samples,
         extra_samples=extra,
@@ -211,12 +214,9 @@ def make_numerology(
             f"chunk of {chunk.chunk_samples} samples cannot hold a 16-frame decoder "
             "batch plus overlap"
         )
-    dist = DistributionPlan(
-        num_servers=servers,
-        groups_per_chunk=groups_per_chunk,
-        advance_groups=chunk.advance_groups,
+    return Numerology(
+        profile=profile, packet=packet, chunk=chunk, distribution=DistributionPlan(servers)
     )
-    return Numerology(profile=profile, packet=packet, chunk=chunk, distribution=dist)
 
 
 def group_of_packet(packet_number: int, plan: Numerology) -> int:
@@ -231,22 +231,15 @@ def first_sample_of_packet(packet_number: int, plan: Numerology) -> int:
 
 # -- profile files ------------------------------------------------------------
 
-_PACKET_KEYS = ("samples_per_packet", "packets_per_group", "groups_per_chunk")
-
 _PROFILE_PARSERS = {
     "name": str,
     "preamble_symbols": int,
     "payload_symbols": int,
-    "rolloff": float,
-    "max_clock_offset_ppm": float,
-    "preamble_seed": int,
     "codec": str,
     "timing_loop_bw": float,
     "phase_loop_bw": float,
     "warmup_symbols": int,
     "samples_per_packet": int,
-    "packets_per_group": int,
-    "groups_per_chunk": int,
 }
 
 
@@ -263,8 +256,8 @@ def _profile_text(name_or_path: str) -> str:
 def load_profile(name_or_path: str) -> tuple[WaveformProfile, dict]:
     """Read a key/value profile file.
 
-    Returns the waveform profile and the packetization keys found in the file
-    (``samples_per_packet``, ``packets_per_group``, ``groups_per_chunk``).
+    Returns the waveform profile and the packetization key found in the
+    file (``samples_per_packet``, the only one that differs by profile).
     """
     fields: dict = {}
     for lineno, raw in enumerate(_profile_text(name_or_path).splitlines(), start=1):
@@ -277,7 +270,7 @@ def load_profile(name_or_path: str) -> tuple[WaveformProfile, dict]:
         if key not in _PROFILE_PARSERS:
             raise NumerologyError(f"profile line {lineno}: unknown key {key!r}")
         fields[key] = _PROFILE_PARSERS[key](value)
-    packet_fields = {k: fields.pop(k) for k in _PACKET_KEYS if k in fields}
+    packet_fields = {k: fields.pop(k) for k in ("samples_per_packet",) if k in fields}
     profile = WaveformProfile(**fields)
     profile.validate()
     return profile, packet_fields
@@ -285,6 +278,4 @@ def load_profile(name_or_path: str) -> tuple[WaveformProfile, dict]:
 
 def load_numerology(name_or_path: str, servers: int = 1) -> Numerology:
     profile, packet_fields = load_profile(name_or_path)
-    groups = packet_fields.pop("groups_per_chunk", 17)
-    packet = PacketPlan(**packet_fields)
-    return make_numerology(profile, packet, servers=servers, groups_per_chunk=groups)
+    return make_numerology(profile, PacketPlan(**packet_fields), servers=servers)

@@ -66,7 +66,6 @@ def test_criterion_1_end_to_end_zero_error(desk_ctx):
 
 def test_criterion_2_numerology_exactness():
     profile, packet_fields = load_profile("paper")
-    packet_fields.pop("groups_per_chunk", None)
     packet = PacketPlan(**packet_fields)
     assert packet.samples_per_packet == 4352
     assert round(profile.frame_samples / packet.samples_per_packet) == 8

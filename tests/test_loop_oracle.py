@@ -140,12 +140,9 @@ class _FrozenWhere:
     freeze mask: the timing reference tests `q >= freeze_below` and the
     phase reference `i < freeze_below`, and both comparisons fall through
     to this object, which answers them from the mask.  `freeze` is what the
-    shipped passes take: a boolean mask, or an int n for the first n
-    indices."""
+    shipped passes take: a boolean mask with one entry per input."""
 
-    def __init__(self, freeze, n):
-        if isinstance(freeze, int):
-            freeze = np.arange(n) < freeze
+    def __init__(self, freeze):
         self.frozen = np.asarray(freeze, dtype=bool)
 
     def __le__(self, q):  # q >= freeze_below: the block updates the loop
@@ -155,12 +152,12 @@ class _FrozenWhere:
         return bool(self.frozen[i])
 
 
-def _masked_timing_pass(x, q0, tau0, rate0, kp, ki, collect, freeze=0):
-    return _ref_timing_pass(x, q0, tau0, rate0, kp, ki, collect, _FrozenWhere(freeze, x.size))
+def _masked_timing_pass(x, q0, tau0, rate0, kp, ki, collect, freeze):
+    return _ref_timing_pass(x, q0, tau0, rate0, kp, ki, collect, _FrozenWhere(freeze))
 
 
-def _masked_phase_pass(x, theta, freq, kp, ki, collect, freeze=0):
-    return _ref_phase_pass(x, theta, freq, kp, ki, collect, _FrozenWhere(freeze, x.size))
+def _masked_phase_pass(x, theta, freq, kp, ki, collect, freeze):
+    return _ref_phase_pass(x, theta, freq, kp, ki, collect, _FrozenWhere(freeze))
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +213,7 @@ def test_timing_loop_matches_reference(desk_ctx, resampled_chunks, monkeypatch, 
     profile = desk_ctx.plan.profile
     y = resampled_chunks[index]
     got = _track_symbols(profile, y)
-    monkeypatch.setattr(timing, "_run_pass", _ref_timing_pass)
+    monkeypatch.setattr(timing, "_run_pass", _masked_timing_pass)
     want = _track_symbols(profile, y)
     assert (got.skips, got.repeats, got.consumed_samples) == (
         want.skips, want.repeats, want.consumed_samples
@@ -232,7 +229,7 @@ def test_phase_loop_matches_reference(desk_ctx, resampled_chunks, monkeypatch, i
     profile = desk_ctx.plan.profile
     symbols = _track_symbols(profile, resampled_chunks[index]).symbols
     got, got_theta, got_freq = _track_phase(profile, symbols)
-    monkeypatch.setattr(phase, "_run_pass", _ref_phase_pass)
+    monkeypatch.setattr(phase, "_run_pass", _masked_phase_pass)
     want, want_theta, want_freq = _track_phase(profile, symbols)
     assert got.dtype == want.dtype and got.size == want.size
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
@@ -247,7 +244,7 @@ def test_timing_pass_reaches_the_input_end(blocks):
     rng = np.random.default_rng(blocks)
     n = BLOCK_OUT * blocks + FLUSH - 1
     x = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.complex64)
-    got = timing._run_pass(x, _WIN_LEFT, 0.25, 0.0, 0.01, 1e-4, collect=True)
+    got = timing._run_pass(x, _WIN_LEFT, 0.25, 0.0, 0.01, 1e-4, True, np.zeros(n, bool))
     want = _ref_timing_pass(x, _WIN_LEFT, 0.25, 0.0, 0.01, 1e-4, collect=True)
     assert got[0].q == want[0].q
     assert got[1].size == want[1].size == blocks * BLOCK_OUT // 2
@@ -257,7 +254,9 @@ def test_timing_pass_reaches_the_input_end(blocks):
 def test_timing_pass_fitting_no_block_is_empty():
     """An input one sample short of a block's window emits nothing."""
     x = np.ones(BLOCK_OUT + FLUSH - 2, np.complex64)
-    result, symbols, positions = timing._run_pass(x, _WIN_LEFT, 0.25, 0.0, 0.01, 1e-4, True)
+    result, symbols, positions = timing._run_pass(
+        x, _WIN_LEFT, 0.25, 0.0, 0.01, 1e-4, True, np.zeros(x.size, bool)
+    )
     assert result.q == _WIN_LEFT and (result.skips, result.repeats) == (0, 0)
     assert symbols.dtype == np.complex64 and symbols.shape == (0,)
     assert positions.dtype == np.float64 and positions.shape == (0,)
@@ -271,7 +270,7 @@ def test_phase_tail_matches_reference(desk_ctx, monkeypatch, n):
     rng = np.random.default_rng(n)
     x = (_POINTS[rng.integers(0, 8, n)] * np.exp(0.3j + 0.05j * np.arange(n))).astype(np.complex64)
     got, got_theta, got_freq = track_phase_two_pass(x, profile.phase_loop_bw, n // 2)
-    monkeypatch.setattr(phase, "_run_pass", _ref_phase_pass)
+    monkeypatch.setattr(phase, "_run_pass", _masked_phase_pass)
     want, want_theta, want_freq = track_phase_two_pass(x, profile.phase_loop_bw, n // 2)
     assert got.dtype == want.dtype == np.complex64 and got.size == want.size == n
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)

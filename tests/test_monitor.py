@@ -60,6 +60,14 @@ class TestAdvertisement:
         assert [ad.name for ad in ads] == ["resampler@w1"]
         assert ads[0].address == server.address
 
+    def test_close_returns_promptly(self):
+        """`close` waits for at most one poll of the serving loop."""
+        srv = MonitorServer()
+        monitor_ls(srv.address)  # the serving loop is running
+        t0 = time.perf_counter()
+        srv.close()
+        assert time.perf_counter() - t0 < 0.25
+
 
 class TestCapture:
     def test_capture_next_samples(self, server):

@@ -51,7 +51,6 @@ class TestPaperProfile:
     @pytest.mark.parametrize("servers", [1, 2, 4])
     def test_16s_multicast_groups(self, servers):
         profile, packet = load_profile("paper")
-        packet.pop("groups_per_chunk", None)
         plan = make_numerology(profile, PacketPlan(**packet), servers=servers)
         assert plan.distribution.total_groups == 16 * servers
 
@@ -99,12 +98,6 @@ class TestValidation:
         # 64-sample packets: a group of 512 cannot cover a 1680-sample frame
         with pytest.raises(OverlapTooSmall):
             make_numerology(desk_plan.profile, PacketPlan(samples_per_packet=64))
-
-    def test_bad_rolloff(self):
-        profile = WaveformProfile(name="bad", rolloff=1.5, preamble_symbols=30,
-                                  payload_symbols=1020)
-        with pytest.raises(NumerologyError):
-            profile.validate()
 
 
 class TestPacketMaps:
@@ -181,8 +174,15 @@ class TestProfileFiles:
 
     @pytest.mark.parametrize(
         "line",
-        ["bogus_key = 1", "samples_per_symbol = 8/5", "bits_per_symbol = 3"],
-        ids=["bogus_key", "samples_per_symbol", "bits_per_symbol"],
+        [
+            "bogus_key = 1", "samples_per_symbol = 8/5", "bits_per_symbol = 3",
+            "rolloff = 0.25", "max_clock_offset_ppm = 10", "preamble_seed = 2001",
+            "packets_per_group = 8", "groups_per_chunk = 17",
+        ],
+        ids=[
+            "bogus_key", "samples_per_symbol", "bits_per_symbol", "rolloff",
+            "max_clock_offset_ppm", "preamble_seed", "packets_per_group", "groups_per_chunk",
+        ],
     )
     def test_unknown_key(self, tmp_path, line):
         p = tmp_path / "bad.profile"

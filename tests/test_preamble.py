@@ -40,9 +40,7 @@ def test_every_table_prefix_is_the_draw():
         )
 
 
-@pytest.mark.parametrize(
-    "overrides", [{"preamble_seed": 7}, {"preamble_symbols": 120}], ids=["other_seed", "longer"]
-)
+@pytest.mark.parametrize("overrides", [{"preamble_symbols": 120}], ids=["longer"])
 def test_uncovered_seed_or_length_is_drawn(overrides):
     profile = dataclasses.replace(load_profile("desk")[0], **overrides)
     got = Preamble.for_profile(profile).symbols

@@ -6,7 +6,10 @@ checkout, at perfbench's own run length, in fresh interpreters, the base
 first in even pairs and the change first in odd pairs.  For every
 end-to-end metric that BENCHMARK.json declares, it prints each pair's two
 values, each side's median and quartiles, how many pairs the change won,
-the median's relative move and the metric's bound; it also prints each
+the median's relative move and the metric's bound.  A metric whose base
+interquartile range is wider than its bound times the base median is
+UNRESOLVED, unless every change run beats every base run: a move inside
+that spread cannot be told from noise.  It also prints each
 run's pass count and whether every run passed its checks, and for each
 failing run its side, workload and seed, the checks it failed and, on a
 non-zero exit, its last line of standard error.  For
@@ -113,14 +116,20 @@ def report(runs: dict, end_to_end: list[dict]) -> None:
             move = (cq[1] - bq[1]) / bq[1] if bq[1] else float("nan")
             worse = -move if higher else move
             gain = (cq[1] - bq[1]) * (1 if higher else -1)
+            beats_all = change.min() > base.max() if higher else change.max() < base.min()
+            if worse > metric["bound"]:
+                verdict = "WORSE THAN BOUND"
+            elif bq[2] - bq[0] > metric["bound"] * abs(bq[1]) and not beats_all:
+                verdict = "UNRESOLVED: base IQR wider than the bound"
+            else:
+                verdict = "within bound"
             print(f"  {name} ({metric['unit']}, {metric['better']} is better, "
                   f"bound {metric['bound']:g})")
             print("    pairs  " + ", ".join(f"{b:.4g}->{c:.4g}" for b, c in values))
             print(f"    base   median {bq[1]:.4g} [{bq[0]:.4g}, {bq[2]:.4g}]  IQR {bq[2] - bq[0]:.4g}")
             print(f"    change median {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}]  IQR {cq[2] - cq[0]:.4g}")
             print(f"    change better {wins}/{len(values)} (ties {ties}); median {move:+.2%}, "
-                  f"gain {gain:+.4g} against base IQR {bq[2] - bq[0]:.4g}; "
-                  f"{'WORSE THAN BOUND' if worse > metric['bound'] else 'within bound'}")
+                  f"gain {gain:+.4g} against base IQR {bq[2] - bq[0]:.4g}; {verdict}")
             if name == "peak_rss_mb":
                 print("    " + rss_per_pass(pairs, name))
 
