@@ -2,7 +2,9 @@
 
 Subcommands compose via files: `txgen | channel | demod | stitch` over cf32
 and block-message files reproduces the in-process `e2e` loop bit-exactly.
-Exit codes: 0 success, 1 runtime failure (one-line diagnostic), 2 usage.
+Exit codes: 0 success; 1 runtime failure (one-line diagnostic), or an `e2e`
+or `demod` run in which a chunk raised, once its output and report are
+written; 2 usage.
 """
 
 from __future__ import annotations
@@ -17,21 +19,21 @@ from . import iqfile
 from .channel import ChannelConfig, apply as chan_apply
 from .combiner import ReorderBuffer, decode_block_stream, encode_block
 from .distributor import UdpMulticastTransport, lose_packets, packetize, receive_chunks
-from .e2e import DEFAULT_FULL_SCALE, loss_counters, run_e2e
+from .e2e import DEFAULT_FULL_SCALE, run_e2e
 from .errors import ChunkSdrError
 from .monitor import MonitorServer, monitor_grab, monitor_ls
 from .numerology import load_numerology
-from .runtime import ReceiverContext, bench, default_workers, run_pipeline
+from .runtime import ReceiverContext, RunStats, bench, default_workers, run_pipeline
 from .modem import generate_stream
 
 
-def _loss_fields(c: dict) -> str:
-    """`e2e.loss_counters` as the CLI prints them."""
-    return (
-        f"dropped_chunks={c['chunks_dropped']} partial_chunks={c['chunks_partial']} "
-        f"missing_packets={c['packets_missing']} "
-        f"words_lost_to_erasures={c['words_lost_to_erasures']}"
-    )
+def _report_fields(report: dict) -> str:
+    """A run report as the text lines print it: `name=value` fields, values in
+    compact JSON, the loss counters last under their text names."""
+    loss = {"chunks_dropped": "dropped_chunks", "chunks_partial": "partial_chunks",
+            "packets_missing": "missing_packets", "words_lost_to_erasures": "words_lost_to_erasures"}
+    named = [(k, v) for k, v in report.items() if k not in loss] + [(loss[k], report[k]) for k in loss]
+    return " ".join(f"{k}={json.dumps(v, separators=(',', ':'))}" for k, v in named)
 
 
 def _parse_addr(text: str) -> tuple[str, int]:
@@ -39,6 +41,12 @@ def _parse_addr(text: str) -> tuple[str, int]:
     if not (port.isdigit() and int(port) <= 65535):
         raise argparse.ArgumentTypeError(f"{text!r} is not host:port")
     return host or "127.0.0.1", int(port)
+
+
+def _parse_port(text: str) -> int:
+    if not (text.isdigit() and int(text) <= 65535):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a port in [0, 65535]")
+    return int(text)
 
 
 def _parse_count(text: str) -> int:
@@ -125,12 +133,12 @@ def cmd_demod(args) -> int:
         for block in result.blocks:
             f.write(encode_block(block))
     stats = result.stats
+    stats.assembly = assembly
     print(
         f"demodulated {stats.chunks_in} chunks -> {stats.frames_out} blocks "
-        f"({stats.decode_failures} failed) to {args.output}; "
-        f"{_loss_fields(loss_counters(assembly, stats))}"
+        f"({stats.decode_failures} failed) to {args.output}; {_report_fields(stats.report())}"
     )
-    return 0
+    return 1 if stats.chunk_errors else 0
 
 
 def cmd_stitch(args) -> int:
@@ -141,27 +149,19 @@ def cmd_stitch(args) -> int:
             blocks.extend(decode_block_stream(f.read()))
     # offline inputs merge by key; the buffer still dedups and logs gaps
     blocks.sort(key=lambda b: b.start_sample_number)
-    buffer = ReorderBuffer(block_spacing=spacing) if blocks else None
+    buffer = ReorderBuffer(block_spacing=spacing)
     emitted = []
-    if buffer is not None:
-        for block in blocks:
-            emitted.extend(buffer.submit(block))
-        emitted.extend(buffer.flush())
+    for block in blocks:
+        emitted.extend(buffer.submit(block))
+    emitted.extend(buffer.flush())
     bits = np.concatenate([b.info_bits for b in emitted]) if emitted else np.zeros(0, np.uint8)
     out = sys.stdout.buffer if args.output == "-" else open(args.output, "wb")
     np.packbits(bits).tofile(out)
     if out is not sys.stdout.buffer:
         out.close()
-    if buffer is not None:
-        s = buffer.stats
-        log = {
-            "blocks": s.emitted,
-            "duplicates": s.duplicates,
-            "gaps": s.gaps,
-            "stale": s.stale,
-            "failed": sum(1 for b in emitted if b.failed),
-        }
-        print(json.dumps(log), file=sys.stderr)
+    failed = sum(b.failed for b in emitted)
+    stats = RunStats(frames_out=len(emitted), decode_failures=failed, combiner=buffer.stats)
+    print(json.dumps(stats.report()), file=sys.stderr)
     return 0
 
 
@@ -188,15 +188,15 @@ def cmd_e2e(args) -> int:
     )
     if monitor is not None:
         monitor.close()
+    s = result.summary()
     if args.json:
-        print(json.dumps(result.summary()))
+        print(json.dumps(s))
     else:
-        s = result.summary()
         print(
             f"BER={s['ber']:.3g} frames={s['frames_recovered']}/{s['frames']} "
-            f"duplicates={s['duplicates']} {_loss_fields(s)} in {s['seconds']}s"
+            f"{_report_fields(result.stats.report())} in {s['seconds']}s"
         )
-    return 0 if result.bits_compared else 1
+    return 1 if result.stats.chunk_errors or not result.bits_compared else 0
 
 
 def cmd_bench(args) -> int:
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=_parse_count, default=default_workers())
     sp.add_argument("--servers", type=_parse_count, default=1)
     sp.add_argument("--loss-rate", type=_parse_probability, default=0.0)
-    sp.add_argument("--monitor-port", type=int, default=None)
+    sp.add_argument("--monitor-port", type=_parse_port, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_e2e)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import socket
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -109,15 +109,13 @@ class AssemblyStats:
     chunks_partial: int = 0  # handed out with erased spans
     packets_missing: int = 0  # packets erased in the partial chunks
     packets_malformed: int = 0  # dropped for a payload of the wrong length
+    residual_samples: int = 0  # the capture's trailing partial packet, not packetized
+    clipped: int = 0  # capture samples beyond the packetizer's full scale
     dropped_first_samples: list = field(default_factory=list)
 
     def add(self, other: "AssemblyStats") -> None:
-        self.chunks_emitted += other.chunks_emitted
-        self.chunks_dropped += other.chunks_dropped
-        self.chunks_partial += other.chunks_partial
-        self.packets_missing += other.packets_missing
-        self.packets_malformed += other.packets_malformed
-        self.dropped_first_samples.extend(other.dropped_first_samples)
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 class ChunkAssembler:
@@ -304,10 +302,13 @@ def receive_chunks(
     loss_rate: float = 0.0, seed: int = 0,
 ) -> tuple[list[ChunkRecord], AssemblyStats]:
     """The one receive path of e2e, demod and bench: a capture packetized,
-    thinned by ``lose_packets`` and assembled by every server."""
-    packets = packetize(samples, plan, full_scale=full_scale).packets
-    packets = lose_packets(packets, loss_rate, seed)
-    return assemble_chunks([packets] * plan.distribution.num_servers, plan, full_scale)
+    thinned by ``lose_packets`` and assembled by every server.  The counters
+    include the packetizer's residual and clipped sample counts."""
+    packed = packetize(samples, plan, full_scale=full_scale)
+    packets = lose_packets(packed.packets, loss_rate, seed)
+    chunks, stats = assemble_chunks([packets] * plan.distribution.num_servers, plan, full_scale)
+    stats.residual_samples, stats.clipped = packed.residual_samples, packed.clipped
+    return chunks, stats
 
 
 class InProcessTransport:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelConfig, apply as chan_apply
-from .distributor import DEFAULT_FULL_SCALE, AssemblyStats, receive_chunks
+from .distributor import DEFAULT_FULL_SCALE, receive_chunks
 from .modem import TxStream, generate_stream
 from .runtime import PipelineResult, ReceiverContext, RunStats, run_pipeline
 
@@ -30,7 +30,6 @@ class E2EResult:
     bits_compared: int
     seconds: float
     stats: RunStats
-    assembly: AssemblyStats
     blocks: list = field(default_factory=list)
 
     @property
@@ -44,20 +43,9 @@ class E2EResult:
             "ber": self.ber,
             "bit_errors": self.bit_errors,
             "bits_compared": self.bits_compared,
-            "duplicates": self.stats.combiner.duplicates,
-            **loss_counters(self.assembly, self.stats),
+            **self.stats.report(),
             "seconds": round(self.seconds, 3),
         }
-
-
-def loss_counters(assembly: AssemblyStats, stats: RunStats) -> dict:
-    """What packet loss cost a run, from the receive path and the decoder."""
-    return {
-        "chunks_dropped": assembly.chunks_dropped,
-        "chunks_partial": assembly.chunks_partial,
-        "packets_missing": assembly.packets_missing,
-        "words_lost_to_erasures": stats.words_lost_to_erasures,
-    }
 
 
 def synthesize(ctx: ReceiverContext, frames: int, seed: int) -> TxStream:
@@ -97,6 +85,7 @@ def run_e2e(
     )
 
     result: PipelineResult = run_pipeline(chunks, ctx, workers=workers, taps_factory=taps_factory)
+    result.stats.assembly = assembly
 
     errors = 0
     compared = 0
@@ -119,6 +108,5 @@ def run_e2e(
         bits_compared=compared,
         seconds=elapsed,
         stats=result.stats,
-        assembly=assembly,
         blocks=result.blocks,
     )

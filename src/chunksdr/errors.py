@@ -55,3 +55,7 @@ class DimensionMismatch(ChunkSdrError):
 
 class CaptureTimeout(ChunkSdrError):
     pass
+
+
+class TapBusy(ChunkSdrError):
+    """A monitor tap asked for a capture while another is under way."""

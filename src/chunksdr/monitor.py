@@ -16,7 +16,8 @@ Wire protocol (TCP, addresses carried in the adverts):
   a JSON object, an unknown ``op``, or a grab whose ``name`` is not a
   string, whose ``count`` is not an integer in [1, MAX_GRAB_COUNT], or
   whose ``timeout`` (default GRAB_TIMEOUT) is not a number in
-  (0, MAX_GRAB_TIMEOUT].
+  (0, MAX_GRAB_TIMEOUT].  A grab on a tap that is already capturing gets
+  ``{"error": "tap busy"}``: a tap serves one capture at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import CaptureTimeout
+from .errors import CaptureTimeout, TapBusy
 
 MAGIC = b"CSDR"
 DTYPE_CODES = {"complex64": 1, "float32": 2}
@@ -73,6 +74,7 @@ class MonitorTap:
         self._want = 0  # samples still to capture; 0 = idle
         self._parts: list[np.ndarray] = []
         self._lock = threading.Lock()
+        self._busy = False  # a capture is under way
         self._done = threading.Event()
 
     def offer(self, samples: np.ndarray) -> None:
@@ -87,20 +89,23 @@ class MonitorTap:
                 self._done.set()
 
     def capture(self, count: int, timeout: float = 10.0) -> np.ndarray:
-        """Arm the tap and wait for the next `count` samples."""
+        """Arm the tap and wait for the next `count` samples; raises TapBusy
+        at once while another capture is under way."""
         with self._lock:
+            if self._busy:
+                raise TapBusy(self.name)
+            self._busy = True
             self._parts = []
             self._done.clear()
             self._want = int(count)
-        if not self._done.wait(timeout):
-            with self._lock:
-                self._want = 0
-                parts, self._parts = self._parts, []
+        done = self._done.wait(timeout)
+        with self._lock:
+            self._want, self._busy = 0, False
+            parts, self._parts = self._parts, []
+        if not done:
             raise CaptureTimeout(
                 f"{self.name}: got {sum(len(p) for p in parts)} of {count} samples"
             )
-        with self._lock:
-            parts, self._parts = self._parts, []
         return np.concatenate(parts) if parts else np.zeros(0, DTYPE_BY_CODE[DTYPE_CODES[self.dtype]])
 
 
@@ -237,6 +242,8 @@ class MonitorServer:
                 handler.wfile.write(header + data.astype(DTYPE_BY_CODE[code]).tobytes())
             except CaptureTimeout:
                 handler.wfile.write(MAGIC + np.array([0, 2], "<u2").tobytes() + np.array([0], "<u8").tobytes())
+            except TapBusy:
+                handler.wfile.write(b'{"error": "tap busy"}\n')
 
     def close(self) -> None:
         self._stop.set()

@@ -20,7 +20,7 @@ import threading
 import time
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import count
 
@@ -28,11 +28,12 @@ import numpy as np
 
 from .combiner import CombinerStats, ReorderBuffer
 from .demod import ChunkDemodResult, DemodTables, demod_chunk
-from .distributor import DEFAULT_FULL_SCALE, ChunkRecord, receive_chunks
+from .distributor import DEFAULT_FULL_SCALE, AssemblyStats, ChunkRecord, receive_chunks
 from .fec import BATCH_SIZE, DecodedBlock, decode_batch, get_codec
 from .numerology import Numerology, load_numerology
 
 _QUEUE_DEPTH = 8  # chunks handed out beyond one per worker
+_UNREPORTED = {"stage_seconds", "chunk_seconds", "combiner", "assembly", "dropped_first_samples"}
 
 
 @dataclass
@@ -74,6 +75,14 @@ class RunStats:
     stage_seconds: dict = field(default_factory=dict)
     chunk_seconds: list = field(default_factory=list)
     combiner: CombinerStats = field(default_factory=CombinerStats)
+    assembly: AssemblyStats = field(default_factory=AssemblyStats)  # from `receive_chunks`
+
+    def report(self) -> dict:
+        """Every counter of the run in one flat dict: the run's own, the
+        combiner's and the assembly's, without the timings or the dropped
+        chunks' first samples."""
+        parts = (self, self.combiner, self.assembly)
+        return {f.name: getattr(p, f.name) for p in parts for f in fields(p) if f.name not in _UNREPORTED}
 
     def absorb(self, result: ChunkDemodResult, elapsed: float, guaranteed: int) -> None:
         self.chunks_in += 1

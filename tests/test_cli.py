@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import chunksdr
+import chunksdr.runtime as runtime
 from chunksdr.cli import main
+from chunksdr.combiner import encode_block
 from chunksdr.e2e import run_e2e
+from chunksdr.fec import DecodedBlock
 from chunksdr.monitor import MAX_GRAB_COUNT, MonitorServer, MonitorTap
 from chunksdr.runtime import ReceiverContext
 
@@ -66,6 +69,8 @@ class TestExitCodes:
             ["e2e", "--ppm", "-inf"],
             ["e2e", "--esn0", "nan"],
             ["e2e", "--freq", "inf"],
+            ["e2e", "--monitor-port", "70000"],
+            ["e2e", "--monitor-port", "-1"],
         ],
     )
     def test_bad_arguments_exit_2_with_usage(self, argv, tmp_path, capsys):
@@ -240,6 +245,71 @@ class TestJsonOutputs:
         report = json.loads(capsys.readouterr().out)
         assert set(report) == {"machine", "corpus", "rows"}
         assert [r["backend"] for r in report["rows"]] == ["thread", "process"]
+
+
+def _fields(line: str) -> dict:
+    """The `name=value` fields after the `; ` of a `demod` line."""
+    return dict(field.split("=", 1) for field in line.split("; ", 1)[1].split())
+
+
+class TestRunReport:
+    """Every counter of a run reaches the output, and a chunk that raised
+    fails the run once its output is written."""
+
+    @pytest.fixture()
+    def second_chunk_raises(self, monkeypatch):
+        process = runtime.process_chunk
+        second = ReceiverContext.build("desk").plan.chunk.advance_samples
+
+        def raising_process(chunk, *args, **kwargs):
+            if chunk.first_sample_number == second:
+                raise RuntimeError("injected")
+            return process(chunk, *args, **kwargs)
+
+        monkeypatch.setattr(runtime, "process_chunk", raising_process)
+
+    def test_e2e_json_reports_chunk_error(self, second_chunk_raises, capsys):
+        rc = main(["e2e", "--profile", "desk", "--frames", "24", "--workers", "1", "--json"])
+        assert rc == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["chunk_errors"] == 1
+        assert out["chunk_error_types"] == {"RuntimeError": 1}
+        assert out["chunks_in"] == 2 and out["chunks_ok"] == 1
+        assert 0 < out["frames_recovered"] < 24
+
+    def test_demod_reports_chunk_error(self, second_chunk_raises, tmp_path, capsys):
+        tx, blocks = tmp_path / "tx.cf32", tmp_path / "b.bin"
+        assert main(["txgen", "--profile", "desk", "--frames", "44", "-o", str(tx)]) == 0
+        rc = main(["demod", "--profile", "desk", "-i", str(tx), "-o", str(blocks)])
+        assert rc == 1
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.startswith("demodulated 2 chunks -> 18 blocks (0 failed)")
+        fields = _fields(line)
+        assert (fields["chunk_errors"], fields["chunk_error_types"]) == ("1", '{"RuntimeError":1}')
+        assert blocks.stat().st_size > 0
+
+    @pytest.mark.parametrize("full_scale, clipped", [("0.25", 39337), ("4.0", 0)])
+    def test_demod_reports_clipping(self, full_scale, clipped, tmp_path, capsys):
+        """At full scale 0.25 a 12 dB desk capture clips most of its samples."""
+        tx, rx = tmp_path / "tx.cf32", tmp_path / "rx.cf32"
+        assert main(["txgen", "--profile", "desk", "--frames", "24", "-o", str(tx)]) == 0
+        assert main(["channel", "-i", str(tx), "-o", str(rx), "--esn0", "12"]) == 0
+        assert main(["demod", "--profile", "desk", "-i", str(rx), "-o", str(tmp_path / "b.bin"),
+                     "--full-scale", full_scale]) == 0
+        fields = _fields(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (int(fields["clipped"]), int(fields["residual_samples"])) == (clipped, 0)
+
+    def test_stitch_logs_conflicts(self, tmp_path, capsys):
+        """Two block files holding one key with different bits: one
+        duplicate, which is also a conflict; the first file's block is kept."""
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for path, bit in zip(paths, (0, 1)):
+            path.write_bytes(encode_block(DecodedBlock(0, np.full(8, bit, np.uint8))))
+        bits = tmp_path / "bits.bin"
+        assert main(["stitch", *map(str, paths), "-o", str(bits)]) == 0
+        log = json.loads(capsys.readouterr().err)
+        assert (log["frames_out"], log["duplicates"], log["conflicts"]) == (1, 1, 1)
+        assert bits.read_bytes() == bytes(1)
 
 
 class TestEntrypoint:

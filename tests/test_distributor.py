@@ -1,6 +1,7 @@
 """Packetization, chunk assembly, transports, and file formats."""
 
 import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from chunksdr.distributor import (
     InProcessTransport,
     Packet,
     UdpMulticastTransport,
+    assemble_chunks,
     lose_packets,
     packetize,
     subscribe_and_assemble,
@@ -181,6 +183,26 @@ class TestAssembly:
         empty = ChunkAssembler(plan, 0)
         assert empty.push(packets[2 * adv]) == []  # chunk 0 got nothing
         assert (empty.stats.chunks_dropped, empty.stats.dropped_first_samples) == (1, [0])
+
+    def test_two_servers_sum_every_counter(self):
+        """`assemble_chunks` adds the servers' counters field by field.
+        Server 0 gets a short packet 5 in chunk 0; server 1's stream starts
+        at chunk 3, so its chunk 1 gets no packet and is dropped."""
+        plan = load_numerology("desk", servers=2)
+        ppc, adv = plan.chunk.packets_per_chunk, plan.chunk.advance_packets
+        packets = packetize(np.zeros((4 * adv + ppc) * 224, np.complex64), plan).packets
+        streams = [
+            [Packet(5, b"short") if p.packet_number == 5 else p for p in packets],
+            [p for p in packets if p.packet_number >= 3 * adv],
+        ]
+        per_server = [subscribe_and_assemble(s, plan, i)[1] for i, s in enumerate(streams)]
+        _, total = assemble_chunks(streams, plan)
+        for f in fields(AssemblyStats):
+            first, second = (getattr(s, f.name) for s in per_server)
+            assert getattr(total, f.name) == first + second, f.name
+        assert (total.chunks_emitted, total.chunks_dropped, total.chunks_partial) == (4, 1, 1)
+        assert (total.packets_missing, total.packets_malformed) == (1, 1)
+        assert total.dropped_first_samples == [adv * 224]
 
     def test_overlap_bytes_identical_across_servers(self, paper2):
         """Shared groups deliver byte-identical samples to both subscribers."""

@@ -128,6 +128,32 @@ class TestCapture:
         assert results["a@w0"].size == 512 and np.all(results["a@w0"] == 1)
         assert results["b@w1"].size == 512 and np.all(results["b@w1"] == 1j)
 
+    def test_second_grab_on_busy_tap_refused(self, server, tmp_path, capsys):
+        """A grab on a tap that is already capturing is refused at once, and
+        `monitor grab` exits 1; the first grab still gets its full count."""
+        from chunksdr.cli import main
+
+        tap = MonitorTap("busy@w0")
+        server.register(tap)
+        first = []
+        grab = threading.Thread(
+            target=lambda: first.append(monitor_grab(server.address, "busy@w0", 100))
+        )
+        grab.start()
+        deadline = time.monotonic() + 5.0
+        while tap._want == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        t0 = time.perf_counter()
+        rc = main(["monitor", "grab", "busy@w0", "-n", "50", "-o", str(tmp_path / "o.cf32"),
+                   "--addr", f"{server.address[0]}:{server.address[1]}"])
+        refused_in = time.perf_counter() - t0
+        tap.offer(np.arange(100, dtype=np.complex64))
+        grab.join(timeout=10.0)
+        assert rc == 1 and refused_in < 2.0
+        assert capsys.readouterr().err == "error: grab refused: tap busy\n"
+        assert first[0].size == 100
+        np.testing.assert_array_equal(first[0].real, np.arange(100))
+
     def test_timeout_when_stream_stalls(self, server):
         tap = MonitorTap("stalled@w0")
         server.register(tap)

@@ -2,6 +2,7 @@
 
 import json
 import threading
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,12 +11,13 @@ import pytest
 import chunksdr.fec as fec
 import chunksdr.runtime as runtime
 from chunksdr.channel import ChannelConfig, apply as chan_apply
-from chunksdr.combiner import ReorderBuffer
-from chunksdr.distributor import ChunkRecord, assemble_chunks, packetize
-from chunksdr.e2e import run_e2e
+from chunksdr.combiner import CombinerStats, ReorderBuffer
+from chunksdr.distributor import AssemblyStats, ChunkRecord, assemble_chunks, packetize
+from chunksdr.e2e import E2EResult, run_e2e
 from chunksdr.modem import generate_stream
 from chunksdr.runtime import (
     ReceiverContext,
+    RunStats,
     bench,
     default_workers,
     make_bench_corpus,
@@ -107,6 +109,20 @@ class TestRunPipeline:
         assert result.ber == 0.0
         summary = result.summary()
         assert summary["chunks_dropped"] == summary["packets_missing"] == 0
+
+    def test_summary_carries_every_counter(self):
+        """Each counter the run keeps is a key of the e2e summary; only the
+        timing lists and the dropped chunks' first samples are left out."""
+        left_out = {"stage_seconds", "chunk_seconds", "dropped_first_samples"}
+        nested = {"combiner", "assembly"}  # flattened into the summary
+        counters = {
+            f.name
+            for cls in (RunStats, CombinerStats, AssemblyStats)
+            for f in fields(cls)
+            if f.name not in left_out | nested
+        }
+        summary = E2EResult(0, 0, 0, 0, 0.0, RunStats()).summary()
+        assert counters <= set(summary)
 
     def test_stats_counters(self, desk_ctx, small_corpus):
         result = run_pipeline(small_corpus, desk_ctx, workers=2)
