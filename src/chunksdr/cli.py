@@ -119,8 +119,7 @@ def cmd_distribute(args) -> int:
     finally:
         close()
     print(f"{'sent' if args.udp else 'wrote'} {len(kept)}/{len(packed.packets)} packets {dest}")
-    if packed.residual_samples:
-        print(f"residual {packed.residual_samples} samples not packetized")
+    print(f"residual_samples={packed.residual_samples} clipped={packed.clipped}")
     return 0
 
 
@@ -135,7 +134,7 @@ def cmd_demod(args) -> int:
     stats = result.stats
     stats.assembly = assembly
     print(
-        f"demodulated {stats.chunks_in} chunks -> {stats.frames_out} blocks "
+        f"demodulated {stats.chunks_in} chunks -> {stats.combiner.emitted} blocks "
         f"({stats.decode_failures} failed) to {args.output}; {_report_fields(stats.report())}"
     )
     return 1 if stats.chunk_errors else 0
@@ -160,7 +159,7 @@ def cmd_stitch(args) -> int:
     if out is not sys.stdout.buffer:
         out.close()
     failed = sum(b.failed for b in emitted)
-    stats = RunStats(frames_out=len(emitted), decode_failures=failed, combiner=buffer.stats)
+    stats = RunStats(decode_failures=failed, combiner=buffer.stats)
     print(json.dumps(stats.report()), file=sys.stderr)
     return 0
 

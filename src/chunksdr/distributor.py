@@ -31,6 +31,7 @@ from .numerology import Numerology, first_sample_of_packet, group_of_packet
 
 PACKET_HEADER = struct.Struct("<Q")
 DEFAULT_FULL_SCALE = 4.0  # packetizer full scale of e2e, demod and bench
+MAX_DROPPED_LISTED = 64  # dropped chunks whose first sample one assembler lists
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ class AssemblyStats:
     packets_malformed: int = 0  # dropped for a payload of the wrong length
     residual_samples: int = 0  # the capture's trailing partial packet, not packetized
     clipped: int = 0  # capture samples beyond the packetizer's full scale
-    dropped_first_samples: list = field(default_factory=list)
+    dropped_first_samples: list = field(default_factory=list)  # first MAX_DROPPED_LISTED per server
 
     def add(self, other: "AssemblyStats") -> None:
         for f in fields(self):
@@ -129,9 +130,11 @@ class ChunkAssembler:
     belongs to its next chunk.  A closed window with missing packets is
     handed out with their spans zero-filled and listed in ``erased``
     (counted in ``chunks_partial`` and ``packets_missing``); one with no
-    packet at all is dropped (``chunks_dropped``).  A packet whose payload
-    is not ``packet_payload_bytes`` long is dropped on arrival and counted
-    in ``packets_malformed``; its span is erased as a lost packet's is.
+    packet at all is dropped (``chunks_dropped``), and the windows a packet
+    has passed are dropped in one step, however far ahead it is.  A packet
+    whose payload is not ``packet_payload_bytes`` long is dropped on arrival
+    and counted in ``packets_malformed``; its span is erased as a lost
+    packet's is.
     """
 
     def __init__(self, plan: Numerology, server_id: int, full_scale: float = 1.0):
@@ -158,51 +161,52 @@ class ChunkAssembler:
         if len(packet.payload) != plan.packet.packet_payload_bytes:
             self.stats.packets_malformed += 1
             return []
-        out: list[ChunkRecord] = []
-        # open windows this packet could start
-        while True:
-            first_packet = self._next_chunk * plan.chunk.advance_packets
-            if packet.packet_number >= first_packet:
-                self._pending.append(self._window_for(self._next_chunk))
-                self._next_chunk += plan.distribution.num_servers
-            else:
-                break
+        number, step = packet.packet_number, plan.distribution.num_servers
+        # drop the windows that end before this packet: the first one it can
+        # still fill is chunk ceil((number - packets_per_chunk + 1) / advance)
+        reach = -((plan.chunk.packets_per_chunk - 1 - number) // plan.chunk.advance_packets)
+        if reach > self._next_chunk:
+            self._drop(-((self._next_chunk - reach) // step))
+        # open the windows this packet falls in
+        while self._next_chunk * plan.chunk.advance_packets <= number:
+            self._pending.append(self._window_for(self._next_chunk))
+            self._next_chunk += step
         for win in self._pending:
             win.add(packet)
         # close windows this packet completes, ends or has moved past
+        out: list[ChunkRecord] = []
         while self._pending and (
-            self._pending[0].complete or packet.packet_number >= self._pending[0].end_packet - 1
+            self._pending[0].complete or number >= self._pending[0].end_packet - 1
         ):
-            rec = self._finish(self._pending.popleft())
-            if rec is not None:
-                out.append(rec)
+            out.append(self._finish(self._pending.popleft()))
         return out
+
+    def _drop(self, count: int) -> None:
+        """Skip this server's next `count` windows, none of which got a packet."""
+        stats, step = self.stats, self.plan.distribution.num_servers
+        listed = min(count, MAX_DROPPED_LISTED - len(stats.dropped_first_samples))
+        stats.dropped_first_samples.extend(
+            (self._next_chunk + i * step) * self.plan.chunk.advance_samples for i in range(listed)
+        )
+        stats.chunks_dropped += count
+        self._next_chunk += count * step
 
     def flush(self) -> list[ChunkRecord]:
         """End of stream: emit complete windows; unfinished ones are abandoned
         (not counted as drops, there was no stream left to fill them)."""
-        out = []
-        while self._pending:
-            win = self._pending.popleft()
-            if win.complete:
-                rec = self._finish(win)
-                if rec is not None:
-                    out.append(rec)
+        out = [self._finish(win) for win in self._pending if win.complete]
+        self._pending.clear()
         return out
 
-    def _finish(self, win: "_Window") -> ChunkRecord | None:
-        first_sample = first_sample_of_packet(win.first_packet, self.plan)
-        if not win.have:
-            self.stats.chunks_dropped += 1
-            self.stats.dropped_first_samples.append(first_sample)
-            return None
+    def _finish(self, win: "_Window") -> ChunkRecord:
+        """Hand out a window that got at least one packet."""
         self.stats.chunks_emitted += 1
         missing = win.n_packets - win.have
         if missing:
             self.stats.chunks_partial += 1
             self.stats.packets_missing += missing
         return ChunkRecord(
-            first_sample_number=first_sample,
+            first_sample_number=first_sample_of_packet(win.first_packet, self.plan),
             samples=np.frombuffer(win.buffer(), dtype=SC8),
             full_scale=self.full_scale,
             erased=win.missing_spans(self.plan.packet.samples_per_packet),

@@ -6,12 +6,11 @@ next N samples passing through into a bounded buffer, and the monitor server
 returns them to the client.  Workers never block on monitor clients.
 
 Wire protocol (TCP, addresses carried in the adverts):
-* requests are single JSON lines: {"op": "ls"}, {"op": "sub"}, or
+* requests are single JSON lines: {"op": "ls"} or
   {"op": "grab", "name": ..., "count": N}
-* ``ls`` answers with one JSON line (the advert list); ``sub`` streams advert
-  JSON lines periodically; ``grab`` answers with a 16-byte binary header
-  (magic ``CSDR``, u16 dtype code, u16 flags, u64 count) followed by the raw
-  samples (complex64 or float32, little-endian).
+* ``ls`` answers with one JSON line (the advert list); ``grab`` answers with
+  a 16-byte binary header (magic ``CSDR``, u16 dtype code, u16 flags, u64
+  count) followed by the raw samples (complex64 or float32, little-endian).
 * any other request gets one ``{"error": ...}`` JSON line: one that is not
   a JSON object, an unknown ``op``, or a grab whose ``name`` is not a
   string, whose ``count`` is not an integer in [1, MAX_GRAB_COUNT], or
@@ -26,7 +25,6 @@ import json
 import socket
 import socketserver
 import threading
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,7 +34,6 @@ from .errors import CaptureTimeout, TapBusy
 MAGIC = b"CSDR"
 DTYPE_CODES = {"complex64": 1, "float32": 2}
 DTYPE_BY_CODE = {1: np.complex64, 2: np.float32}
-ADVERT_PERIOD = 1.0
 GRAB_TIMEOUT = 10.0  # seconds a grab waits when its request names no timeout
 MAX_GRAB_COUNT = 1 << 22  # samples one grab may ask for (32 MB of complex64)
 MAX_GRAB_TIMEOUT = 300.0  # seconds one grab may wait
@@ -50,8 +47,6 @@ class Advertisement:
     thread_id: int
     host_id: str
     address: tuple[str, int]
-    period: float = ADVERT_PERIOD
-    rate_hint: float = 0.0
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -135,16 +130,13 @@ def _dtype_of(samples: np.ndarray) -> str:
 
 
 class MonitorServer:
-    """TCP endpoint serving ls/sub/grab plus the periodic advert publisher."""
+    """TCP endpoint serving ls and grab."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, period: float = ADVERT_PERIOD,
-                 host_id: str | None = None):
-        self.period = period
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, host_id: str | None = None):
         self.host_id = host_id or socket.gethostname()
         self._taps: dict[str, MonitorTap] = {}
         self._tap_threads: dict[str, int] = {}
         self._lock = threading.Lock()
-        self._subscribers: list[socket.socket] = []
         outer = self
 
         class Handler(socketserver.StreamRequestHandler):
@@ -162,15 +154,9 @@ class MonitorServer:
         self._server = socketserver.ThreadingTCPServer((host, port), Handler, bind_and_activate=True)
         self._server.daemon_threads = True
         self.address: tuple[str, int] = self._server.server_address[:2]
-        self._threads = [
-            threading.Thread(
-                target=self._server.serve_forever, args=(SERVE_POLL,), daemon=True
-            ),
-            threading.Thread(target=self._advert_loop, daemon=True),
-        ]
-        self._stop = threading.Event()
-        for t in self._threads:
-            t.start()
+        threading.Thread(
+            target=self._server.serve_forever, args=(SERVE_POLL,), daemon=True
+        ).start()
 
     def register(self, tap: MonitorTap) -> None:
         with self._lock:
@@ -186,28 +172,9 @@ class MonitorServer:
                     thread_id=self._tap_threads.get(tap.name, 0),
                     host_id=self.host_id,
                     address=self.address,
-                    period=self.period,
                 )
                 for tap in self._taps.values()
             ]
-
-    def _advert_loop(self) -> None:
-        while not self._stop.wait(self.period):
-            lines = [ad.to_json() + "\n" for ad in self.adverts()]
-            dead = []
-            with self._lock:
-                subs = list(self._subscribers)
-            for sub in subs:
-                try:
-                    for line in lines:
-                        sub.sendall(line.encode())
-                except OSError:
-                    dead.append(sub)
-            if dead:
-                with self._lock:
-                    for s in dead:
-                        if s in self._subscribers:
-                            self._subscribers.remove(s)
 
     def _handle(self, req, handler) -> None:
         refusal = _refusal(req)
@@ -218,15 +185,6 @@ class MonitorServer:
         if op == "ls":
             payload = json.dumps([json.loads(a.to_json()) for a in self.adverts()])
             handler.wfile.write(payload.encode() + b"\n")
-        elif op == "sub":
-            with self._lock:
-                self._subscribers.append(handler.connection)
-            # keep the connection open until the client closes it
-            try:
-                while handler.rfile.readline():
-                    pass
-            except OSError:
-                pass
         else:
             name = req.get("name", "")
             count = req["count"]
@@ -246,7 +204,6 @@ class MonitorServer:
                 handler.wfile.write(b'{"error": "tap busy"}\n')
 
     def close(self) -> None:
-        self._stop.set()
         self._server.shutdown()
         self._server.server_close()
 
@@ -256,7 +213,7 @@ def _refusal(req) -> str | None:
     if not isinstance(req, dict):
         return "request is not a JSON object"
     op = req.get("op")
-    if op not in ("ls", "sub", "grab"):
+    if op not in ("ls", "grab"):
         return "unknown op"
     if op != "grab":
         return None
@@ -309,22 +266,3 @@ def monitor_grab(
         dtype = DTYPE_BY_CODE[int(code)]
         raw = _recv_exact(sock, int(n) * dtype().itemsize)
     return np.frombuffer(raw, dtype)
-
-
-def monitor_subscribe(address: tuple[str, int], duration: float) -> list[Advertisement]:
-    """Collect adverts from a sub connection for `duration` seconds."""
-    adverts: list[Advertisement] = []
-    deadline = time.monotonic() + duration
-    with socket.create_connection(address, timeout=duration + 2.0) as sock:
-        sock.sendall(b'{"op": "sub"}\n')
-        f = sock.makefile("rb")
-        sock.settimeout(0.2)
-        while time.monotonic() < deadline:
-            try:
-                line = f.readline()
-            except (TimeoutError, socket.timeout):
-                continue
-            if not line:
-                break
-            adverts.append(Advertisement.from_json(line.decode()))
-    return adverts

@@ -66,7 +66,6 @@ class RunStats:
     sync_failures: int = 0
     chunk_errors: int = 0
     chunk_error_types: Counter = field(default_factory=Counter)  # class name -> count
-    frames_out: int = 0
     decode_failures: int = 0
     extra_frames: int = 0
     words_lost_to_erasures: int = 0  # failed words that touched an erased span, not emitted
@@ -241,7 +240,6 @@ def run_pipeline(
     ordered.extend(buffer.flush())
 
     stats.combiner = buffer.stats
-    stats.frames_out = len(ordered)
     stats.decode_failures = sum(1 for b in ordered if b.failed)
     return PipelineResult(blocks=ordered, stats=stats)
 

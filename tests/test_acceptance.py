@@ -459,7 +459,7 @@ def test_criterion_10_monitor_idle_cost_and_capture(desk_ctx):
     ab = min(ab_tapped) / min(ab_base) - 1.0
 
     # capture 4096 samples at the phase-tracker output during a live run
-    server = MonitorServer(period=0.2)
+    server = MonitorServer()
     try:
         import threading
 

@@ -84,7 +84,7 @@ class TestExitCodes:
         assert err.startswith("usage: chunksdr ") and "error:" in err
 
     def test_monitor_grab_unknown_tap_exits_1(self, tmp_path, capsys):
-        server = MonitorServer(period=0.05)
+        server = MonitorServer()
         try:
             host, port = server.address
             rc = main(["monitor", "grab", "nope", "-o", str(tmp_path / "o.cf32"),
@@ -96,7 +96,7 @@ class TestExitCodes:
         assert not (tmp_path / "o.cf32").exists()
 
     def test_monitor_grab_refused_exits_1(self, tmp_path, capsys):
-        server = MonitorServer(period=0.05)
+        server = MonitorServer()
         try:
             server.register(MonitorTap("idle@w0"))
             host, port = server.address
@@ -299,6 +299,19 @@ class TestRunReport:
         fields = _fields(capsys.readouterr().out.strip().splitlines()[-1])
         assert (int(fields["clipped"]), int(fields["residual_samples"])) == (clipped, 0)
 
+    @pytest.mark.parametrize("full_scale, clipped", [("0.25", 39337), ("4.0", 0)])
+    def test_distribute_reports_clipping(self, full_scale, clipped, tmp_path, capsys):
+        """`distribute` prints the clip count that `demod` reports on the same capture."""
+        tx, rx = tmp_path / "tx.cf32", tmp_path / "rx.cf32"
+        assert main(["txgen", "--profile", "desk", "--frames", "24", "-o", str(tx)]) == 0
+        assert main(["channel", "-i", str(tx), "-o", str(rx), "--esn0", "12"]) == 0
+        capsys.readouterr()
+        assert main(["distribute", "--profile", "desk", "-i", str(rx), "-o", str(tmp_path / "p.bin"),
+                     "--full-scale", full_scale]) == 0
+        wrote, report = capsys.readouterr().out.splitlines()
+        assert wrote.startswith("wrote 180/180 packets to ")
+        assert report == f"residual_samples=0 clipped={clipped}"
+
     def test_stitch_logs_conflicts(self, tmp_path, capsys):
         """Two block files holding one key with different bits: one
         duplicate, which is also a conflict; the first file's block is kept."""
@@ -308,7 +321,7 @@ class TestRunReport:
         bits = tmp_path / "bits.bin"
         assert main(["stitch", *map(str, paths), "-o", str(bits)]) == 0
         log = json.loads(capsys.readouterr().err)
-        assert (log["frames_out"], log["duplicates"], log["conflicts"]) == (1, 1, 1)
+        assert (log["emitted"], log["duplicates"], log["conflicts"]) == (1, 1, 1)
         assert bits.read_bytes() == bytes(1)
 
 

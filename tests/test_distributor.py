@@ -1,6 +1,7 @@
 """Packetization, chunk assembly, transports, and file formats."""
 
 import pickle
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from chunksdr import iqfile
 from chunksdr.distributor import (
+    MAX_DROPPED_LISTED,
     AssemblyStats,
     ChunkAssembler,
     InProcessTransport,
@@ -183,6 +185,31 @@ class TestAssembly:
         empty = ChunkAssembler(plan, 0)
         assert empty.push(packets[2 * adv]) == []  # chunk 0 got nothing
         assert (empty.stats.chunks_dropped, empty.stats.dropped_first_samples) == (1, [0])
+
+    @pytest.mark.parametrize("number", [10**6, 2**63], ids=["1e6", "2^63"])
+    def test_far_ahead_packet_drops_the_windows_it_skips_at_once(self, desk_plan, number):
+        """A packet far past the stream drops every window it has passed in
+        one step: chunk 0 is handed out partial, the windows after it up to
+        the first one the packet falls in are counted as dropped, and only
+        the first `MAX_DROPPED_LISTED` of them are listed."""
+        plan = desk_plan
+        ppc, adv = plan.chunk.packets_per_chunk, plan.chunk.advance_packets
+        packets = packetize(np.zeros(6 * 224, np.complex64), plan).packets
+        asm = ChunkAssembler(plan, 0)
+        for p in packets:
+            assert asm.push(p) == []
+        t0 = time.perf_counter()
+        closed = asm.push(Packet(number, packets[0].payload))
+        assert time.perf_counter() - t0 < 1.0
+        skipped = -(-(number - ppc + 1) // adv) - 1  # chunks 1 .. before the packet's first
+        assert [c.first_sample_number for c in closed] == [0]
+        assert asm.stats.chunks_dropped == skipped
+        listed = min(skipped, MAX_DROPPED_LISTED)
+        assert asm.stats.dropped_first_samples == [
+            c * plan.chunk.advance_samples for c in range(1, 1 + listed)
+        ]
+        if number == 10**6:
+            assert skipped == 7811
 
     def test_two_servers_sum_every_counter(self):
         """`assemble_chunks` adds the servers' counters field by field.

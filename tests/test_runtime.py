@@ -129,7 +129,7 @@ class TestRunPipeline:
         stats = result.stats
         assert stats.chunks_in == len(small_corpus)
         assert stats.chunks_ok == len(small_corpus)
-        assert stats.frames_out == len(result.blocks)
+        assert stats.combiner.emitted == len(result.blocks)
         assert len(stats.chunk_seconds) == len(small_corpus)
         assert set(stats.stage_seconds) >= {"resample", "timing", "phase", "framesync", "fec"}
 

@@ -15,7 +15,10 @@ failing run its side, workload and seed, the checks it failed and, on a
 non-zero exit, its last line of standard error.  For
 `peak_rss_mb`, which grows with the pass count, it prints the base runs'
 least-squares MB per pass and the change's median offset from that line,
-so a move can be told apart as more passes or a larger working set.  It
+so a move can be told apart as more passes or a larger working set.  Next
+to the fit it prints the passes that the bound leaves, bound x base median
+MB / (MB per pass), and their share of the base's median pass count: the
+largest throughput gain whose extra passes keep RSS inside its bound.  It
 reads only BENCHMARK.json (from the change checkout) and the output of
 perfbench/run.py.
 
@@ -131,13 +134,15 @@ def report(runs: dict, end_to_end: list[dict]) -> None:
             print(f"    change better {wins}/{len(values)} (ties {ties}); median {move:+.2%}, "
                   f"gain {gain:+.4g} against base IQR {bq[2] - bq[0]:.4g}; {verdict}")
             if name == "peak_rss_mb":
-                print("    " + rss_per_pass(pairs, name))
+                print("    " + rss_per_pass(pairs, name, metric["bound"]))
 
 
-def rss_per_pass(pairs: list[dict], name: str) -> str:
-    """The least-squares MB per pass over the base runs, and the change's
-    median offset from that line at the change's own pass counts: an RSS
-    move that the pass count explains leaves the offset near 0."""
+def rss_per_pass(pairs: list[dict], name: str, bound: float) -> str:
+    """The least-squares MB per pass over the base runs, the passes the
+    bound leaves at that slope and their share of the base's median pass
+    count, and the change's median offset from the line at the change's
+    own pass counts: an RSS move that the pass count explains leaves the
+    offset near 0."""
     def points(side: str) -> np.ndarray:  # (runs, 2): passes, value
         pts = [(p[side]["passes"], p[side]["metrics"].get(name, {}).get("value")) for p in pairs]
         return np.array([pt for pt in pts if None not in pt], dtype=float).reshape(-1, 2)
@@ -147,6 +152,10 @@ def rss_per_pass(pairs: list[dict], name: str) -> str:
         return "per pass: the base runs' pass counts do not vary, so no line is fitted"
     slope, intercept = np.polyfit(base[:, 0], base[:, 1], 1)
     line = f"per pass: base fit {slope:.3g} MB/pass + {intercept:.4g} MB"
+    if slope > 0:
+        room, passes = bound * np.median(base[:, 1]) / slope, np.median(base[:, 0])
+        line += (f"; the bound leaves {room:.3g} more passes "
+                 f"({room / passes:+.1%} on the base's median {passes:g} passes)")
     if not change.size:
         return line
     offset = float(np.median(change[:, 1] - (slope * change[:, 0] + intercept)))
